@@ -19,7 +19,6 @@ from .graph import (
     load_graph,
     path_nodes,
     shortest_path_avoiding,
-    tree_path,
 )
 from .treevar import (
     BasicMove,
@@ -30,9 +29,6 @@ from .treevar import (
 from .objectives import (
     Differentiable,
     EdgeLoadMap,
-    MaxEdgeCost,
-    MinEdgeCost,
-    NodesVisited,
     PathCost,
     PathEdgeDisjoint,
     combine,
@@ -88,10 +84,7 @@ __all__ = [
     "GraphFormatError",
     "GraphValidationError",
     "InvalidMoveError",
-    "MaxEdgeCost",
-    "MinEdgeCost",
     "Model",
-    "NodesVisited",
     "PathCost",
     "PathEdgeDisjoint",
     "RootedSpanningTree",
@@ -122,6 +115,5 @@ __all__ = [
     "solution_to_dump",
     "solve_ls",
     "solve_msga",
-    "tree_path",
     "verify_dump",
 ]

@@ -60,7 +60,10 @@ class BenchmarkSpec:
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be >= 1")
         for r in self.commodity_ratios:
-            f = Fraction(r)
+            try:
+                f = Fraction(r)
+            except ZeroDivisionError:
+                raise ValueError(f"commodity ratio {r} divides by zero") from None
             if not (0 < f <= 1):
                 raise ValueError(f"commodity ratio {r} not in (0, 1]")
         for s in self.solvers:

@@ -188,7 +188,7 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     assert best.snapshots is not None  # the initial callback always ran
     for tree, state in zip(model.trees, best.snapshots):
         tree.restore(state)
-    model.commit()
+    model.objective.commit()
     solution = EdpSolution(
         objective=best.objective,
         retained=tuple(sorted(best.routed)),

@@ -158,20 +158,6 @@ class Graph:
         key = (u, v) if u < v else (v, u)
         return self._edge_ids.get(key)
 
-    def incident(self, node: int) -> tuple[int, ...]:
-        """Edge ids incident to node, in ascending id order."""
-        return self.adjacency[node]
-
-    def degree(self, node: int) -> int:
-        return len(self.adjacency[node])
-
-    def weight(self, eid: int, k: int) -> int:
-        if not (0 <= k < self.weight_count):
-            raise ValueError(
-                f"weight index {k} out of range; graph has {self.weight_count} column(s)"
-            )
-        return self.weights[eid][k]
-
 
 # -- path utilities ---------------------------------------------------------
 
@@ -184,44 +170,6 @@ def path_nodes(g: Graph, start: int, edges: Sequence[int]) -> list[int]:
         cur = g.other_end(eid, cur)
         nodes.append(cur)
     return nodes
-
-
-def tree_path(g: Graph, tree_edges: Iterable[int], a: int, b: int) -> list[int]:
-    """The unique edge sequence connecting a to b inside a spanning tree.
-
-    ``tree_edges`` must form a spanning tree of g.  Returns [] iff a == b.
-    """
-    edge_set = set(tree_edges)
-    if len(edge_set) != g.node_count - 1:
-        raise ValueError(
-            f"tree_edges has {len(edge_set)} edges, a spanning tree needs "
-            f"{g.node_count - 1}"
-        )
-    if a == b:
-        return []
-    parent_edge: dict[int, int] = {a: -1}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        if u == b:
-            break
-        for eid in g.adjacency[u]:
-            if eid not in edge_set:
-                continue
-            w = g.other_end(eid, u)
-            if w not in parent_edge:
-                parent_edge[w] = eid
-                queue.append(w)
-    if b not in parent_edge:
-        raise ValueError(f"tree_edges do not connect {a} to {b}; not a spanning tree")
-    path: list[int] = []
-    cur = b
-    while cur != a:
-        eid = parent_edge[cur]
-        path.append(eid)
-        cur = g.other_end(eid, cur)
-    path.reverse()
-    return path
 
 
 def shortest_path_avoiding(

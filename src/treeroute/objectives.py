@@ -11,19 +11,21 @@ suite holds every class to that with apply/recompute/undo oracles.
 Caches are keyed by the trees' revision counters and are refreshed
 lazily on access, so callers may mutate a tree and simply query again;
 :meth:`Differentiable.commit` forces the refresh eagerly after a move
-is accepted.
+is accepted.  Move deltas come from the closures that
+:meth:`Differentiable.move_delta_fn` (one tree) and
+:meth:`Differentiable.multi_delta_fn` (one move on each of several
+trees) return.
 
-Differentiables compose: ``a + b``, ``a - b``, ``a * b`` (or
-:func:`combine`) build arithmetic expressions, and :func:`compare`
-turns a pair of expressions into a constraint whose violation is the
-missing amount (absolute difference for equality).
+Differentiables compose: ``a + b`` and ``a - b`` (or :func:`combine`)
+build arithmetic expressions, and :func:`compare` turns a pair of
+expressions into a constraint whose violation is the missing amount
+(absolute difference for equality).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .graph import Graph, path_nodes
 from .treevar import BasicMove, RootedSpanningTree
 
 MovePairs = Sequence[tuple[RootedSpanningTree, BasicMove]]
@@ -57,42 +59,27 @@ class Differentiable:
             raise TypeError(f"{type(self).__name__} is not a constraint")
         return self.value()
 
-    def commit(self, tree: RootedSpanningTree | None = None) -> None:
+    def commit(self) -> None:
         """Bring caches in sync with the trees' current state."""
-        del tree  # revision counters already identify what changed
         self._refresh()
 
     def is_registered(self, tree: RootedSpanningTree) -> bool:
         return any(t is tree for t in self.trees)
 
-    def replace_edge_delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
-        """Exact change of value() if ``move`` were applied to ``tree``."""
-        if not self.is_registered(tree):
-            raise ValueError("tree is not registered with this differentiable")
-        self._refresh()
-        return self._delta([(tree, move)])
-
-    def replace_edge_delta_multi(self, pairs: MovePairs) -> int:
-        """Exact joint change for one move on each of several trees."""
-        seen: set[int] = set()
-        for tree, _ in pairs:
+    def _validated_refresh(self, trees: Sequence[RootedSpanningTree]) -> None:
+        if len({id(t) for t in trees}) != len(trees):
+            raise ValueError(
+                "at most one move per tree; use a complex move for several")
+        for tree in trees:
             if not self.is_registered(tree):
                 raise ValueError("tree is not registered with this differentiable")
-            if id(tree) in seen:
-                raise ValueError(
-                    "at most one move per tree; use a complex move for several"
-                )
-            seen.add(id(tree))
         self._refresh()
-        return self._delta(pairs)
 
     def move_delta_fn(self, tree: RootedSpanningTree):
-        """Bulk form of :meth:`replace_edge_delta` for neighborhood scans:
-        validates and refreshes once, then returns ``move -> delta``.
-        Only valid while no registered tree is mutated."""
-        if not self.is_registered(tree):
-            raise ValueError("tree is not registered with this differentiable")
-        self._refresh()
+        """``move -> exact change of value()`` if ``move`` were applied to
+        ``tree``.  Validates and refreshes once, so a neighborhood scan
+        pays that only once; valid while no registered tree is mutated."""
+        self._validated_refresh((tree,))
 
         def delta(move: BasicMove) -> int:
             return self._delta(((tree, move),))
@@ -100,20 +87,27 @@ class Differentiable:
         return delta
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
-        """Bulk form of :meth:`replace_edge_delta_multi` for a fixed tree
-        tuple: validates and refreshes once, then returns
-        ``(move, ...) -> joint delta`` taking one move per tree."""
-        if len({id(t) for t in trees}) != len(trees):
-            raise ValueError("trees must be distinct")
-        for tree in trees:
-            if not self.is_registered(tree):
-                raise ValueError("tree is not registered with this differentiable")
-        self._refresh()
+        """``(move, ...) -> exact joint change of value()`` for one move on
+        each of the distinct ``trees``; same validity rule as
+        :meth:`move_delta_fn`."""
+        self._validated_refresh(trees)
 
         def delta(moves: Sequence[BasicMove]) -> int:
             return self._delta(tuple(zip(trees, moves)))
 
         return delta
+
+    def conflicted_trees(self) -> list[RootedSpanningTree]:
+        """Trees whose paths currently cause violations, for the search to
+        aim diversification at; [] when the differentiable cannot tell."""
+        return []
+
+    def sample_conflict_pair(
+        self, rng
+    ) -> tuple[RootedSpanningTree, RootedSpanningTree] | None:
+        """Two distinct trees in conflict with each other, or None when the
+        differentiable cannot tell (then it draws nothing from ``rng``)."""
+        return None
 
     # -- composition sugar ----------------------------------------------------
 
@@ -128,12 +122,6 @@ class Differentiable:
 
     def __rsub__(self, other):
         return combine(other, "-", self)
-
-    def __mul__(self, other):
-        return combine(self, "*", other)
-
-    def __rmul__(self, other):
-        return combine(other, "*", self)
 
 
 class _Const(Differentiable):
@@ -155,105 +143,39 @@ class _Const(Differentiable):
         return 0
 
 
-class _SinglePathMetric(Differentiable):
-    """Base for metrics of one tree's induced path."""
+class PathCost(Differentiable):
+    """Total weight (column ``k``) accumulated along the induced path."""
 
-    def __init__(self, tree: RootedSpanningTree) -> None:
+    def __init__(self, tree: RootedSpanningTree, k: int = 0) -> None:
         super().__init__((tree,))
+        g = tree.graph
+        if not (0 <= k < g.weight_count):
+            raise ValueError(
+                f"weight index {k} out of range; graph has {g.weight_count} column(s)"
+            )
         self.tree = tree
+        self.k = k
         self._cached_version = -1
         self._value = 0
 
-    def _compute(self, path: tuple[int, ...]) -> int:
-        raise NotImplementedError
+    def _cost(self, path: tuple[int, ...]) -> int:
+        weights = self.tree.graph.weights
+        k = self.k
+        return sum(weights[e][k] for e in path)
 
     def _refresh(self) -> None:
         if self._cached_version != self.tree.version:
-            self._value = self._compute(self.tree.induced_path())
+            self._value = self._cost(self.tree.induced_path())
             self._cached_version = self.tree.version
 
     def _current(self) -> int:
         return self._value
 
     def _delta(self, pairs: MovePairs) -> int:
-        move = None
-        for tree, m in pairs:
+        for tree, move in pairs:
             if tree is self.tree:
-                move = m
-        if move is None:
-            return 0
-        # A removal off the induced path never changes the path.
-        if move.e_out not in self.tree.induced_path_set():
-            return 0
-        return self._compute(self.tree.simulate_path(move)) - self._value
-
-
-def _check_weight_index(g: Graph, k: int) -> None:
-    if not (0 <= k < g.weight_count):
-        raise ValueError(
-            f"weight index {k} out of range; graph has {g.weight_count} column(s)"
-        )
-
-
-class PathCost(_SinglePathMetric):
-    """Total weight (column ``k``) accumulated along the induced path."""
-
-    def __init__(self, tree: RootedSpanningTree, k: int = 0) -> None:
-        super().__init__(tree)
-        _check_weight_index(tree.graph, k)
-        self.k = k
-
-    def _compute(self, path: tuple[int, ...]) -> int:
-        g = self.tree.graph
-        k = self.k
-        return sum(g.weights[e][k] for e in path)
-
-
-class MinEdgeCost(_SinglePathMetric):
-    """Smallest edge weight (column ``k``) on the induced path; the
-    bottleneck value of the modeled path."""
-
-    def __init__(self, tree: RootedSpanningTree, k: int = 0) -> None:
-        super().__init__(tree)
-        _check_weight_index(tree.graph, k)
-        self.k = k
-
-    def _compute(self, path: tuple[int, ...]) -> int:
-        g = self.tree.graph
-        k = self.k
-        return min(g.weights[e][k] for e in path)
-
-
-class MaxEdgeCost(_SinglePathMetric):
-    """Largest edge weight (column ``k``) on the induced path."""
-
-    def __init__(self, tree: RootedSpanningTree, k: int = 0) -> None:
-        super().__init__(tree)
-        _check_weight_index(tree.graph, k)
-        self.k = k
-
-    def _compute(self, path: tuple[int, ...]) -> int:
-        g = self.tree.graph
-        k = self.k
-        return max(g.weights[e][k] for e in path)
-
-
-class NodesVisited(_SinglePathMetric):
-    """How many nodes of a fixed set the induced path visits.
-
-    Path endpoints count: a path visits its source and its target.
-    """
-
-    def __init__(self, tree: RootedSpanningTree, nodes: Iterable[int]) -> None:
-        super().__init__(tree)
-        self.nodes = frozenset(nodes)
-        for node in self.nodes:
-            if not (0 <= node < tree.graph.node_count):
-                raise ValueError(f"node id {node} out of range")
-
-    def _compute(self, path: tuple[int, ...]) -> int:
-        visited = path_nodes(self.tree.graph, self.tree.source, path)
-        return len(self.nodes.intersection(visited))
+                return self._cost(tree.simulate_path(move)) - self._value
+        return 0
 
 
 class EdgeLoadMap:
@@ -263,9 +185,6 @@ class EdgeLoadMap:
 
     def __init__(self, edge_count: int) -> None:
         self.counts = [0] * edge_count
-
-    def load(self, eid: int) -> int:
-        return self.counts[eid]
 
     def add_path(self, path: Iterable[int]) -> int:
         """Add a path; returns the violation increase: edges whose new load exceeds 1."""
@@ -358,16 +277,8 @@ class PathEdgeDisjoint(Differentiable):
     def is_registered(self, tree: RootedSpanningTree) -> bool:
         return id(tree) in self._index
 
-    def tree_contribution(self, tree: RootedSpanningTree) -> int:
-        """How many of this tree's path edges are shared with other paths;
-        used to pick the worst offender for restarts."""
-        self._refresh()
-        i = self._index[id(tree)]
-        return sum(1 for e in self._cached_paths[i] if self.loads.counts[e] >= 2)
-
     def conflicted_trees(self) -> list[RootedSpanningTree]:
-        """Trees whose paths currently share at least one edge; these are
-        the ones diversification should shake."""
+        """Trees whose paths currently share at least one edge."""
         self._refresh()
         counts = self.loads.counts
         return [
@@ -378,8 +289,7 @@ class PathEdgeDisjoint(Differentiable):
     def sample_conflict_pair(
         self, rng
     ) -> tuple[RootedSpanningTree, RootedSpanningTree] | None:
-        """Two distinct trees sharing one overloaded edge, or None; lets
-        the search aim coordinated moves at actual conflicts."""
+        """Two distinct trees sharing one random overloaded edge, or None."""
         self._refresh()
         loaded = [e for e, c in enumerate(self.loads.counts) if c >= 2]
         if not loaded:
@@ -395,7 +305,6 @@ class PathEdgeDisjoint(Differentiable):
 _OPS = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
 }
 
 _RELS = {
@@ -438,14 +347,8 @@ class _Combined(Differentiable):
         return _OPS[self.op](self.a._current(), self.b._current())
 
     def _delta(self, pairs: MovePairs) -> int:
-        da = self.a._delta(pairs)
-        db = self.b._delta(pairs)
-        if self.op == "+":
-            return da + db
-        if self.op == "-":
-            return da - db
-        va, vb = self.a._current(), self.b._current()
-        return (va + da) * (vb + db) - va * vb
+        # Both operators are linear, so the delta combines like the values.
+        return _OPS[self.op](self.a._delta(pairs), self.b._delta(pairs))
 
 
 class _Comparison(Differentiable):
@@ -475,8 +378,8 @@ class _Comparison(Differentiable):
 
 
 def combine(a, op: str, b) -> Differentiable:
-    """Arithmetic composition: op is '+', '-' or '*'; operands may be
-    differentiables or plain integers (so '* int' covers scaling)."""
+    """Arithmetic composition: op is '+' or '-'; operands may be
+    differentiables or plain integers."""
     return _Combined(a, op, b)
 
 

@@ -24,6 +24,7 @@ timestamps are seconds.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -46,9 +47,6 @@ class Model:
     trees: list[RootedSpanningTree]
     objective: Differentiable
 
-    def commit(self, tree: RootedSpanningTree | None = None) -> None:
-        self.objective.commit(tree)
-
 
 @dataclass
 class SearchConfig:
@@ -64,8 +62,8 @@ class SearchConfig:
     perturbation_moves: int = 3
 
     def __post_init__(self) -> None:
-        if self.time_limit_s <= 0:
-            raise ValueError("time_limit_s must be positive")
+        if not (math.isfinite(self.time_limit_s) and self.time_limit_s > 0):
+            raise ValueError("time_limit_s must be positive and finite")
         if not self.move_portfolio:
             raise ValueError("move portfolio must not be empty")
         for kind in self.move_portfolio:
@@ -75,6 +73,16 @@ class SearchConfig:
             raise ValueError("max_stall_iterations must be >= 1")
         if self.iter_cap is not None and self.iter_cap < 0:
             raise ValueError("iter_cap must be >= 0")
+        counts = {
+            "eval_interval": self.eval_interval,
+            "two_move_samples": self.two_move_samples,
+            "pair_move_pairs": self.pair_move_pairs,
+            "pair_move_samples": self.pair_move_samples,
+            "perturbation_moves": self.perturbation_moves,
+        }
+        for name, count in counts.items():
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -95,8 +103,14 @@ class SearchTrace:
     clock: str = "seconds"
 
     def to_csv(self) -> str:
-        lines = ["time_s,value"]
-        lines.extend(f"{t:.3f},{v}" for t, v in self.improvements)
+        """``time_s,value`` rows, or ``iteration,value`` for the
+        iteration clock."""
+        if self.clock == "iterations":
+            lines = ["iteration,value"]
+            lines.extend(f"{int(t)},{v}" for t, v in self.improvements)
+        else:
+            lines = ["time_s,value"]
+            lines.extend(f"{t:.3f},{v}" for t, v in self.improvements)
         return "\n".join(lines) + "\n"
 
 
@@ -137,7 +151,7 @@ def _complex_delta(
     token = tree.apply_complex(cm)
     after = objective.value()
     tree.undo(token)
-    objective.commit(tree)
+    objective.commit()
     return after - before
 
 
@@ -202,8 +216,7 @@ def _perturb(model: Model, rng: random.Random, moves_per_tree: int) -> None:
     the kick walks plateaus instead of undoing the descent; a random
     move is the fallback when every sample worsens.
     """
-    conflicted = getattr(model.objective, "conflicted_trees", None)
-    targets = conflicted() if conflicted is not None else []
+    targets = model.objective.conflicted_trees()
     if not targets:
         targets = rng.sample(model.trees, min(2, len(model.trees)))
     for tree in targets:
@@ -222,7 +235,7 @@ def _perturb(model: Model, rng: random.Random, moves_per_tree: int) -> None:
                 if picked is None:
                     picked = move
             tree.apply(picked)
-            model.commit(tree)
+            model.objective.commit()
             delta = model.objective.move_delta_fn(tree)
 
 
@@ -234,13 +247,12 @@ def _restart_conflicted(model: Model, rng: random.Random) -> None:
     with them fresh shortest induced paths.  Objectives that cannot name
     contributors fall back to one random tree.
     """
-    conflicted = getattr(model.objective, "conflicted_trees", None)
-    targets = conflicted() if conflicted is not None else []
+    targets = model.objective.conflicted_trees()
     if not targets:
         targets = [rng.choice(model.trees)]
     for tree in targets:
         tree.reinit_random(rng)
-        model.commit(tree)
+        model.objective.commit()
 
 
 def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> SearchTrace:
@@ -297,13 +309,12 @@ def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> Se
                     move = explore_one_move(tree, model.objective, rng)
                     if move is not None:
                         tree.apply(move)
-                        model.commit(tree)
+                        model.objective.commit()
                         accepted = kind
                         break
                     scan_failed_at[id(tree)] = stamp
             elif kind == "two-move":
-                conflicted = getattr(model.objective, "conflicted_trees", None)
-                order = conflicted() if conflicted is not None else []
+                order = model.objective.conflicted_trees()
                 if not order:
                     order = list(model.trees)
                 rng.shuffle(order)
@@ -312,15 +323,14 @@ def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> Se
                         tree, model.objective, rng, cfg.two_move_samples)
                     if cm is not None:
                         tree.apply_complex(cm)
-                        model.commit(tree)
+                        model.objective.commit()
                         accepted = kind
                         break
             elif kind == "pair-move" and len(model.trees) >= 2:
                 # Aim at trees that actually share an overloaded edge when
                 # the objective can point them out; random pairs otherwise.
-                sampler = getattr(model.objective, "sample_conflict_pair", None)
                 for _ in range(cfg.pair_move_pairs):
-                    pair = sampler(rng) if sampler is not None else None
+                    pair = model.objective.sample_conflict_pair(rng)
                     if pair is None:
                         pair = tuple(rng.sample(model.trees, 2))
                     tree_a, tree_b = pair
@@ -329,9 +339,9 @@ def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> Se
                         cfg.pair_move_samples)
                     if found is not None:
                         tree_a.apply(found[0])
-                        model.commit(tree_a)
+                        model.objective.commit()
                         tree_b.apply(found[1])
-                        model.commit(tree_b)
+                        model.objective.commit()
                         accepted = kind
                         break
             if accepted:

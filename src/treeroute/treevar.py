@@ -91,8 +91,8 @@ class RootedSpanningTree:
     """
 
     __slots__ = ("graph", "source", "root", "version",
-                 "_father_node", "_father_edge", "_tree_edges", "_path_cache",
-                 "_index_cache", "_preferred_cache")
+                 "_father_node", "_father_edge", "_tree_edges", "_path",
+                 "_index")
 
     def __init__(self, graph: Graph, source: int, root: int,
                  father_node: list[int], father_edge: list[int]) -> None:
@@ -108,9 +108,9 @@ class RootedSpanningTree:
         self._father_edge = father_edge
         self._tree_edges = {e for e in father_edge if e >= 0}
         self.version = 0
-        self._path_cache: tuple[int, tuple[int, ...]] | None = None
-        self._index_cache: tuple | None = None
-        self._preferred_cache: tuple | None = None
+        # Derived from the tree, filled lazily and cleared by _bump().
+        self._path: tuple[int, ...] | None = None
+        self._index: tuple | None = None
         if DEBUG_CHECKS:
             self.validate()
 
@@ -193,9 +193,6 @@ class RootedSpanningTree:
     def tree_edges(self) -> frozenset[int]:
         return frozenset(self._tree_edges)
 
-    def has_tree_edge(self, eid: int) -> bool:
-        return eid in self._tree_edges
-
     def father_of(self, node: int) -> int:
         """Father node id, or -1 for the root."""
         return self._father_node[node]
@@ -206,17 +203,14 @@ class RootedSpanningTree:
 
     def induced_path(self) -> tuple[int, ...]:
         """Edge sequence of the source-to-root path (never empty)."""
-        cache = self._path_cache
-        if cache is not None and cache[0] == self.version:
-            return cache[1]
-        path = []
-        node = self.source
-        while node != self.root:
-            path.append(self._father_edge[node])
-            node = self._father_node[node]
-        result = tuple(path)
-        self._path_cache = (self.version, result)
-        return result
+        if self._path is None:
+            path = []
+            node = self.source
+            while node != self.root:
+                path.append(self._father_edge[node])
+                node = self._father_node[node]
+            self._path = tuple(path)
+        return self._path
 
     def induced_path_nodes(self) -> list[int]:
         nodes = [self.source]
@@ -225,10 +219,6 @@ class RootedSpanningTree:
             node = self._father_node[node]
             nodes.append(node)
         return nodes
-
-    def induced_path_set(self) -> frozenset[int]:
-        """Edges of the induced path as a set (cached per revision)."""
-        return self._path_index()[3]
 
     def replacing_edges(self) -> list[int]:
         """All non-tree edges, ascending."""
@@ -242,56 +232,19 @@ class RootedSpanningTree:
         seg_u, seg_v = self._cycle_segments(e_in)
         return seg_u + seg_v[::-1]
 
-    def replacable_edges(self, e_in: int) -> list[int]:
-        """Tree edges removable together with inserting ``e_in``."""
-        return self.fundamental_cycle(e_in)
-
-    def preferred_replacable_edges(self, e_in: int) -> list[int]:
-        """The replacable edges of ``e_in`` that lie on the induced path,
-        i.e. exactly the removals that change the modeled path.
-
-        The fundamental cycle meets the induced path in a contiguous
-        stretch: the cycle follows father chains from e_in's endpoints,
-        and each chain joins the induced path at one node and then stays
-        on it.  The stretch runs between those two join positions, so it
-        can be read off the cached path index without walking the cycle.
-        """
-        if e_in in self._tree_edges or not (0 <= e_in < self.graph.edge_count):
-            raise InvalidMoveError(f"edge {e_in} is not a replacing edge")
-        _, path_edges, _, _, q = self._path_index()
-        u, v = self.graph.endpoints(e_in)
-        a, b = q[u], q[v]
-        if a > b:
-            a, b = b, a
-        return list(path_edges[a:b])
-
-    def preferred_replacing_edges(self) -> list[int]:
-        """Non-tree edges admitting at least one path-changing move."""
-        return [e_in for e_in, _ in self.preferred_moves()]
-
     def preferred_moves(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """All path-changing moves as ``(e_in, (e_out, ...))`` pairs,
-        cached per revision; the workhorse of neighborhood scans."""
-        cache = self._preferred_cache
-        if cache is not None and cache[0] == self.version:
-            return cache[1]
-        _, path_edges, _, _, q = self._path_index()
-        out = []
-        endpoints = self.graph.edges
-        tree_edges = self._tree_edges
-        for e_in in range(self.graph.edge_count):
-            if e_in in tree_edges:
-                continue
-            u, v = endpoints[e_in]
-            a, b = q[u], q[v]
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            out.append((e_in, path_edges[a:b]))
-        result = tuple(out)
-        self._preferred_cache = (self.version, result)
-        return result
+        """All path-changing moves as ``(e_in, (e_out, ...))`` pairs, in
+        ascending ``e_in`` order and cached per revision; the workhorse of
+        neighborhood scans.
+
+        The ``e_out`` are the fundamental-cycle edges of ``e_in`` that lie
+        on the induced path.  The cycle meets the path in a contiguous
+        stretch: it follows father chains from e_in's endpoints, and each
+        chain joins the path at one node and then stays on it.  The
+        stretch runs between those two join positions, so it is read off
+        the path index without walking the cycle.
+        """
+        return self._path_index()[4]
 
     def independent(self, moves: Sequence[BasicMove]) -> bool:
         """Sufficient precheck for move independence in the current tree:
@@ -442,7 +395,7 @@ class RootedSpanningTree:
             raise InvalidMoveError(f"no such edge {e_in}")
         if e_in in self._tree_edges:
             raise InvalidMoveError(f"edge {e_in} is already a tree edge")
-        pos, path_edges, edge_pos, _, q = self._path_index()
+        pos, path_edges, edge_pos, q, _ = self._path_index()
         u, v = self.graph.endpoints(e_in)
         j = edge_pos.get(e_out)
         if j is None:
@@ -481,22 +434,21 @@ class RootedSpanningTree:
 
     def _bump(self) -> None:
         self.version += 1
-        self._path_cache = None
-        self._index_cache = None
-        self._preferred_cache = None
+        self._path = None
+        self._index = None
 
     def _path_index(self):
-        """Cached per revision: (pos, path_edges, edge_pos, path_set, q).
+        """Cached per revision: (pos, path_edges, edge_pos, q, preferred).
 
         ``pos`` maps on-path nodes to their index from the source,
-        ``edge_pos`` maps path edges to their index, and ``q[x]`` is the
+        ``edge_pos`` maps path edges to their index, ``q[x]`` is the
         index of the first on-path node on x's father chain (x's own
-        index if x is on the path).  Everything downstream of the
+        index if x is on the path), and ``preferred`` is what
+        :meth:`preferred_moves` returns.  Everything downstream of the
         neighborhood reduction reads from this index.
         """
-        cache = self._index_cache
-        if cache is not None and cache[0] == self.version:
-            return cache[1]
+        if self._index is not None:
+            return self._index
         path_edges = self.induced_path()
         nodes = self.induced_path_nodes()
         pos = {node: i for i, node in enumerate(nodes)}
@@ -516,9 +468,21 @@ class RootedSpanningTree:
             hit = q[node]
             for x in trail:
                 q[x] = hit
-        result = (pos, path_edges, edge_pos, frozenset(path_edges), q)
-        self._index_cache = (self.version, result)
-        return result
+        preferred = []
+        endpoints = self.graph.edges
+        tree_edges = self._tree_edges
+        for e_in in range(self.graph.edge_count):
+            if e_in in tree_edges:
+                continue
+            u, v = endpoints[e_in]
+            a, b = q[u], q[v]
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            preferred.append((e_in, path_edges[a:b]))
+        self._index = (pos, path_edges, edge_pos, q, tuple(preferred))
+        return self._index
 
     def _cycle_segments(self, e_in: int) -> tuple[list[int], list[int]]:
         """Father-chain segments (u-to-meet, v-to-meet) for e_in = (u, v)."""
@@ -538,26 +502,6 @@ class RootedSpanningTree:
             edges_v.append(self._father_edge[y])
             y = self._father_node[y]
         return edges_u[: pos[y]], edges_v
-
-    def _tree_walk_between(self, a: int, b: int) -> list[int]:
-        """Edges of the unique tree path from a to b."""
-        if a == b:
-            return []
-        pos = {a: 0}
-        chain = [a]
-        edges_a = []
-        x = a
-        while x != self.root:
-            edges_a.append(self._father_edge[x])
-            x = self._father_node[x]
-            pos[x] = len(chain)
-            chain.append(x)
-        edges_b = []
-        y = b
-        while y not in pos:
-            edges_b.append(self._father_edge[y])
-            y = self._father_node[y]
-        return edges_a[: pos[y]] + edges_b[::-1]
 
     # -- state management and diagnostics -------------------------------------
 

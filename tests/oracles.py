@@ -142,7 +142,7 @@ def random_valid_move(rng: random.Random, tree) -> "tuple[int, int] | None":
     if not candidates:
         return None
     e_in = rng.choice(candidates)
-    cycle = tree.replacable_edges(e_in)
+    cycle = tree.fundamental_cycle(e_in)
     return e_in, rng.choice(cycle)
 
 

@@ -14,7 +14,6 @@ from treeroute import (
     load_graph,
     path_nodes,
     shortest_path_avoiding,
-    tree_path,
 )
 from treeroute.generators import generate_mesh
 
@@ -109,33 +108,6 @@ class TestCommodities:
     def test_range_checked_against_graph(self, triangle):
         with pytest.raises(GraphFormatError, match="out of range"):
             load_commodities("1\n0 7\n", triangle)
-
-
-class TestTreePath:
-    def test_triangle(self, triangle):
-        assert tree_path(triangle, {0, 1}, 0, 2) == [0, 1]
-
-    def test_identity(self, triangle):
-        assert tree_path(triangle, {0, 1}, 1, 1) == []
-
-    def test_path_graph_reversed(self):
-        g = load_graph("4 3\n0 1\n1 2\n2 3\n")
-        assert tree_path(g, {0, 1, 2}, 3, 0) == [2, 1, 0]
-
-    def test_not_a_spanning_tree(self, triangle):
-        with pytest.raises(ValueError):
-            tree_path(triangle, {0}, 0, 2)
-
-    def test_reversal_property_random(self):
-        rng = random.Random(11)
-        for _ in range(50):
-            g = oracles.random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 6))
-            tree = oracles.random_tree_variable(rng, g)
-            edges = tree.tree_edges
-            a = rng.randrange(g.node_count)
-            b = rng.randrange(g.node_count)
-            forward = tree_path(g, edges, a, b)
-            assert tree_path(g, edges, b, a) == forward[::-1]
 
 
 class TestShortestPathAvoiding:

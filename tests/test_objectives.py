@@ -4,9 +4,6 @@ import pytest
 
 from treeroute import (
     BasicMove,
-    MaxEdgeCost,
-    MinEdgeCost,
-    NodesVisited,
     PathCost,
     PathEdgeDisjoint,
     RootedSpanningTree,
@@ -29,17 +26,9 @@ def chain_tree(g, s=0, t=3):
 
 
 def recompute(metric, tree):
-    """From-scratch reference value for a single-path metric."""
+    """From-scratch reference value for a path cost."""
     g = tree.graph
-    path = tree.induced_path()
-    kind = type(metric).__name__
-    if kind == "PathCost":
-        return sum(g.weights[e][metric.k] for e in path)
-    if kind == "MinEdgeCost":
-        return min(g.weights[e][metric.k] for e in path)
-    if kind == "MaxEdgeCost":
-        return max(g.weights[e][metric.k] for e in path)
-    raise AssertionError(kind)
+    return sum(g.weights[e][metric.k] for e in tree.induced_path())
 
 
 class TestPathCost:
@@ -63,49 +52,6 @@ class TestPathCost:
         g = weighted_path_graph()
         with pytest.raises(ValueError, match="weight index"):
             PathCost(chain_tree(g), 3)
-
-
-class TestMinMax:
-    def test_chain(self):
-        g = weighted_path_graph()
-        tree = chain_tree(g)
-        assert MinEdgeCost(tree, 0).value() == 2
-        assert MaxEdgeCost(tree, 0).value() == 5
-
-    def test_single_edge_identity(self):
-        g = load_graph("2 1\n0 1 7\n")
-        tree = RootedSpanningTree.from_edges(g, 0, 1, [0])
-        assert MinEdgeCost(tree, 0).value() == 7
-        assert MaxEdgeCost(tree, 0).value() == 7
-
-    def test_random_matches_recompute(self):
-        rng = random.Random(8)
-        for _ in range(30):
-            g = oracles.random_connected_graph(rng, rng.randint(3, 10), rng.randint(0, 8))
-            tree = oracles.random_tree_variable(rng, g)
-            assert MinEdgeCost(tree, 0).value() == recompute(MinEdgeCost(tree, 0), tree)
-            assert MaxEdgeCost(tree, 0).value() == recompute(MaxEdgeCost(tree, 0), tree)
-
-
-class TestNodesVisited:
-    def test_counts_interior_hits(self):
-        g = load_graph("4 3\n0 1\n1 2\n2 3\n")
-        tree = RootedSpanningTree.from_edges(g, 1, 3, [0, 1, 2])
-        # path 1-2-3; watched {2, 0}: only node 2 is on it
-        assert NodesVisited(tree, {2, 0}).value() == 1
-
-    def test_empty_set(self, triangle):
-        tree = RootedSpanningTree.from_edges(triangle, 0, 2, [0, 1])
-        assert NodesVisited(tree, set()).value() == 0
-
-    def test_all_nodes_counts_path_nodes_with_endpoints(self, triangle):
-        tree = RootedSpanningTree.from_edges(triangle, 0, 2, [0, 1])
-        assert NodesVisited(tree, {0, 1, 2}).value() == 3
-
-    def test_bad_node_rejected(self, triangle):
-        tree = RootedSpanningTree.from_edges(triangle, 0, 2, [0, 1])
-        with pytest.raises(ValueError):
-            NodesVisited(tree, {9})
 
 
 class TestPathEdgeDisjoint:
@@ -165,7 +111,7 @@ class TestPathEdgeDisjoint:
             if move is None:
                 continue
             tree.apply(BasicMove(*move))
-            constraint.commit(tree)
+            constraint.commit()
             paths = [t.induced_path() for t in trees]
             assert constraint.violations() == oracles.violation_count(paths)
 
@@ -175,9 +121,8 @@ class TestReplaceEdgeDelta:
         g = load_graph("5 5\n0 1 2\n1 2 5\n2 3 3\n2 4 1\n3 4 9\n")
         tree = RootedSpanningTree.from_edges(g, 0, 1, [0, 1, 2, 3])
         move = BasicMove(e_in=4, e_out=2)  # cycle 2-3-4, off the 0-1 path
-        for d in (PathCost(tree, 0), MinEdgeCost(tree, 0), MaxEdgeCost(tree, 0),
-                  NodesVisited(tree, {3}), PathEdgeDisjoint([tree])):
-            assert d.replace_edge_delta(tree, move) == 0
+        for d in (PathCost(tree, 0), PathEdgeDisjoint([tree])):
+            assert d.move_delta_fn(tree)(move) == 0
 
     def test_cost_swap_five_for_two(self):
         # path edge of weight 5 replaced by a chord of weight 2
@@ -187,7 +132,7 @@ class TestReplaceEdgeDelta:
         cost = PathCost(tree, 0)
         assert cost.value() == 6
         # replace (0,1) w5 with the 0-3-1 detour: e_in=(3,1), e_out=(0,1)
-        delta = cost.replace_edge_delta(tree, BasicMove(3, 0))
+        delta = cost.move_delta_fn(tree)(BasicMove(3, 0))
         assert delta == (1 + 1) - 5  # -3
 
     def test_unregistered_tree_rejected(self):
@@ -196,30 +141,28 @@ class TestReplaceEdgeDelta:
         t2 = RootedSpanningTree.from_edges(g, 0, 2, [0, 1])
         cost = PathCost(t1, 0)
         with pytest.raises(ValueError, match="not registered"):
-            cost.replace_edge_delta(t2, BasicMove(2, 0))
+            cost.move_delta_fn(t2)
 
     def _delta_oracle(self, differentiable, tree, move):
         before = differentiable.value()
         token = tree.apply(move)
-        differentiable.commit(tree)
+        differentiable.commit()
         after = differentiable.value()
         tree.undo(token)
-        differentiable.commit(tree)
+        differentiable.commit()
         return after - before
 
     def test_single_tree_kinds_match_apply_recompute_undo(self):
         rng = random.Random(4)
         g = oracles.random_connected_graph(rng, 8, 8, columns=2)
         tree = oracles.random_tree_variable(rng, g)
-        watched = {1, 3, 5}
         kinds = [
             PathCost(tree, 0),
-            MinEdgeCost(tree, 1),
-            MaxEdgeCost(tree, 0),
-            NodesVisited(tree, watched),
             compare(PathCost(tree, 0), "<=", 12),
+            compare(PathCost(tree, 1), "==", 10),
             combine(PathCost(tree, 0), "+", PathCost(tree, 1)),
-            combine(PathCost(tree, 0), "*", 3),
+            combine(PathCost(tree, 0), "-", PathCost(tree, 1)),
+            30 - PathCost(tree, 1),
         ]
         for _ in range(400):
             move = oracles.random_valid_move(rng, tree)
@@ -227,7 +170,7 @@ class TestReplaceEdgeDelta:
                 break
             m = BasicMove(*move)
             for d in kinds:
-                assert d.replace_edge_delta(tree, m) == self._delta_oracle(d, tree, m)
+                assert d.move_delta_fn(tree)(m) == self._delta_oracle(d, tree, m)
             token = tree.apply(m)
             if rng.random() < 0.5:
                 tree.undo(token)
@@ -241,11 +184,11 @@ class TestReplaceEdgeDelta:
             tree = rng.choice(trees)
             move = oracles.random_valid_move(rng, tree)
             m = BasicMove(*move)
-            assert constraint.replace_edge_delta(tree, m) == \
+            assert constraint.move_delta_fn(tree)(m) == \
                 self._delta_oracle(constraint, tree, m)
             if rng.random() < 0.4:
                 tree.apply(m)
-                constraint.commit(tree)
+                constraint.commit()
 
 
 class TestReplaceEdgeDeltaMulti:
@@ -253,8 +196,7 @@ class TestReplaceEdgeDeltaMulti:
         tree = RootedSpanningTree.from_edges(triangle, 0, 2, [0, 1])
         c = PathEdgeDisjoint([tree])
         with pytest.raises(ValueError, match="one move per tree"):
-            c.replace_edge_delta_multi(
-                [(tree, BasicMove(2, 0)), (tree, BasicMove(2, 1))])
+            c.multi_delta_fn((tree, tree))
 
     def test_both_paths_unchanged_gives_zero(self):
         g = load_graph("5 5\n0 1\n1 2\n2 3\n2 4\n3 4\n")
@@ -262,8 +204,7 @@ class TestReplaceEdgeDeltaMulti:
         t2 = RootedSpanningTree.from_edges(g, 0, 1, [0, 1, 2, 3])
         c = PathEdgeDisjoint([t1, t2])
         off_path = BasicMove(e_in=4, e_out=2)
-        assert c.replace_edge_delta_multi(
-            [(t1, off_path), (t2, off_path)]) == 0
+        assert c.multi_delta_fn((t1, t2))((off_path, off_path)) == 0
 
     def test_vacating_a_doubly_loaded_edge(self):
         # both paths cross (0,1); moving one off it drops the violation
@@ -273,8 +214,7 @@ class TestReplaceEdgeDeltaMulti:
         c = PathEdgeDisjoint([t1, t2])
         assert c.violations() == 1
         move_t2 = BasicMove(e_in=3, e_out=0)  # reroute t2 via 0-3-1
-        off_path_t1 = BasicMove(e_in=3, e_out=0)
-        delta = c.replace_edge_delta_multi([(t2, move_t2)])
+        delta = c.multi_delta_fn((t2,))((move_t2,))
         assert delta == -1
 
     def test_joint_delta_when_single_deltas_do_not_sum(self):
@@ -288,8 +228,8 @@ class TestReplaceEdgeDeltaMulti:
             m1 = oracles.random_valid_move(rng, t1)
             m2 = oracles.random_valid_move(rng, t2)
             m1, m2 = BasicMove(*m1), BasicMove(*m2)
-            joint = c.replace_edge_delta_multi([(t1, m1), (t2, m2)])
-            singles = c.replace_edge_delta(t1, m1) + c.replace_edge_delta(t2, m2)
+            joint = c.multi_delta_fn((t1, t2))((m1, m2))
+            singles = c.move_delta_fn(t1)(m1) + c.move_delta_fn(t2)(m2)
             # oracle: apply both, recompute, undo both
             tok1 = t1.apply(m1)
             tok2 = t2.apply(m2)
@@ -329,10 +269,12 @@ class TestCombineCompare:
         tree = chain_tree(g)
         cost = PathCost(tree, 0)
         assert (cost + 5).value() == 15
-        assert (cost - MinEdgeCost(tree, 0)).value() == 8
-        assert (cost * 2).value() == 20
-        assert (3 * cost).value() == 30
+        assert (5 + cost).value() == 15
+        assert (cost - PathCost(tree, 0)).value() == 0
+        assert (30 - cost).value() == 20
         assert combine(cost, "-", 4).value() == 6
+        with pytest.raises(ValueError, match="unknown operator"):
+            combine(cost, "*", 2)
 
     def test_budget_sum_delta_matches_oracle(self):
         rng = random.Random(3)
@@ -348,7 +290,7 @@ class TestCombineCompare:
             token = tree.apply(m)
             after = both.violations()
             tree.undo(token)
-            assert both.replace_edge_delta(tree, m) == after - before
+            assert both.move_delta_fn(tree)(m) == after - before
 
     def test_non_integer_constant_rejected(self):
         g = weighted_path_graph()

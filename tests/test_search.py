@@ -10,6 +10,7 @@ from treeroute import (
     PathEdgeDisjoint,
     RootedSpanningTree,
     SearchConfig,
+    SearchTrace,
     compare,
     explore_one_move,
     explore_pair_move,
@@ -56,6 +57,14 @@ class TestSearchConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             SearchConfig(time_limit_s=0)
+        for limit in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="time_limit_s"):
+                SearchConfig(time_limit_s=limit)
+        for name in ("eval_interval", "two_move_samples", "pair_move_pairs",
+                     "pair_move_samples", "perturbation_moves"):
+            with pytest.raises(ValueError, match=name):
+                SearchConfig(**{name: -1})
+            SearchConfig(**{name: 0})
         with pytest.raises(ValueError):
             SearchConfig(move_portfolio=())
         with pytest.raises(ValueError):
@@ -72,14 +81,12 @@ class TestExploreOneMove:
         cost = PathCost(tree, 0)
         move = explore_one_move(tree, cost)
         assert move is not None
-        assert cost.replace_edge_delta(tree, move) < 0
+        assert cost.move_delta_fn(tree)(move) < 0
 
     def test_absent_at_verified_local_optimum(self):
         _, tree, objective = plateau_instance()
-        assert all(
-            objective.replace_edge_delta(tree, m) >= 0
-            for m in all_preferred_moves(tree)
-        )
+        delta = objective.move_delta_fn(tree)
+        assert all(delta(m) >= 0 for m in all_preferred_moves(tree))
         assert explore_one_move(tree, objective) is None
 
     def test_absent_on_tree_shaped_graph(self):
@@ -126,10 +133,8 @@ class TestExplorePairMove:
         assert constraint.violations() == 1
         # verified: no single preferred move on either tree improves
         for tree in (t_a, t_b):
-            assert all(
-                constraint.replace_edge_delta(tree, m) >= 0
-                for m in all_preferred_moves(tree)
-            )
+            delta = constraint.move_delta_fn(tree)
+            assert all(delta(m) >= 0 for m in all_preferred_moves(tree))
         found = explore_pair_move(t_a, t_b, constraint, random.Random(5), samples=500)
         assert found is not None
         move_a, move_b = found
@@ -219,8 +224,12 @@ class TestRun:
         model = small_model(9)
         trace = run(model, SearchConfig(iter_cap=50, seed=0))
         lines = trace.to_csv().splitlines()
-        assert lines[0] == "time_s,value"
+        assert lines[0] == "iteration,value"
         assert len(lines) == 1 + len(trace.improvements)
+        assert lines[1:] == [f"{int(t)},{v}" for t, v in trace.improvements]
+
+        timed = SearchTrace(improvements=[(0.25, 3)], clock="seconds")
+        assert timed.to_csv() == "time_s,value\n0.250,3\n"
 
     def test_wall_clock_budget_respected(self):
         import time

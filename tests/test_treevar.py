@@ -8,7 +8,6 @@ from treeroute import (
     InvalidMoveError,
     RootedSpanningTree,
     load_graph,
-    tree_path,
 )
 from treeroute.generators import generate_mesh
 
@@ -17,6 +16,11 @@ import oracles
 
 def make_tree(g, s, t, edges):
     return RootedSpanningTree.from_edges(g, s, t, edges)
+
+
+def preferred(tree):
+    """Preferred removals by inserted edge."""
+    return dict(tree.preferred_moves())
 
 
 def tree_state(tree):
@@ -105,7 +109,7 @@ class TestEdgeSets:
         g = load_graph("4 3\n0 1\n1 2\n2 3\n")
         tree = make_tree(g, 0, 3, [0, 1, 2])
         assert tree.replacing_edges() == []
-        assert tree.preferred_replacing_edges() == []
+        assert tree.preferred_moves() == ()
 
     def test_mesh_counts(self):
         g = generate_mesh(3, 3)
@@ -114,12 +118,12 @@ class TestEdgeSets:
 
     def test_triangle_cycle(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
-        assert set(tree.replacable_edges(2)) == {0, 1}
+        assert set(tree.fundamental_cycle(2)) == {0, 1}
 
     def test_four_cycle(self):
         g = load_graph("4 4\n0 1\n1 2\n2 3\n3 0\n")
         tree = make_tree(g, 0, 2, [0, 1, 2])
-        assert set(tree.replacable_edges(3)) == {0, 1, 2}
+        assert set(tree.fundamental_cycle(3)) == {0, 1, 2}
 
     def test_cycle_matches_independent_finder_on_meshes(self):
         rng = random.Random(3)
@@ -127,34 +131,34 @@ class TestEdgeSets:
         for _ in range(40):
             tree = oracles.random_tree_variable(rng, g)
             for e_in in tree.replacing_edges():
-                assert set(tree.replacable_edges(e_in)) == oracles.cycle_of(
+                assert set(tree.fundamental_cycle(e_in)) == oracles.cycle_of(
                     g, tree.tree_edges, e_in)
 
     def test_replacable_requires_non_tree_edge(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
         with pytest.raises(InvalidMoveError):
-            tree.replacable_edges(0)
+            tree.fundamental_cycle(0)
 
 
 class TestPreferredSets:
     def test_triangle_source_zero(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
-        assert tree.preferred_replacing_edges() == [2]
-        assert set(tree.preferred_replacable_edges(2)) == {0, 1}
+        assert list(preferred(tree)) == [2]
+        assert set(preferred(tree)[2]) == {0, 1}
 
     def test_triangle_source_one_reduces(self, triangle):
         tree = make_tree(triangle, 1, 2, [0, 1])
         # path is just (1,2); replacing (0,2) can only change it via (1,2)
-        assert tree.preferred_replacing_edges() == [2]
-        assert set(tree.preferred_replacable_edges(2)) == {1}
+        assert list(preferred(tree)) == [2]
+        assert set(preferred(tree)[2]) == {1}
 
     def test_no_preferred_when_cycles_avoid_path(self):
         # pendant edge 0-1 is the whole path; the only cycle lives in the
         # triangle {2,3,4} hanging off node 2
         g = load_graph("5 5\n0 1\n1 2\n2 3\n2 4\n3 4\n")
         tree = make_tree(g, 0, 1, [0, 1, 2, 3])
-        assert tree.preferred_replacing_edges() == []
-        assert tree.preferred_replacable_edges(4) == []
+        assert tree.replacing_edges() == [4]
+        assert tree.preferred_moves() == ()
 
     def test_preferred_equals_reduction_oracle_random(self):
         rng = random.Random(17)
@@ -162,17 +166,13 @@ class TestPreferredSets:
             g = oracles.random_connected_graph(rng, rng.randint(3, 9), rng.randint(1, 7))
             tree = oracles.random_tree_variable(rng, g)
             on_path = set(tree.induced_path())
+            moves = preferred(tree)
             for e_in in tree.replacing_edges():
                 expected = oracles.cycle_of(g, tree.tree_edges, e_in) & on_path
-                assert set(tree.preferred_replacable_edges(e_in)) == expected
-            expected_ins = {
-                e for e in tree.replacing_edges()
-                if oracles.cycle_of(g, tree.tree_edges, e) & on_path
-            }
-            assert set(tree.preferred_replacing_edges()) == expected_ins
-            for e_in, outs in tree.preferred_moves():
-                assert set(outs) == set(tree.preferred_replacable_edges(e_in))
-                assert outs
+                assert set(moves.get(e_in, ())) == expected
+            assert list(moves) == sorted(moves)
+            assert set(moves) <= set(tree.replacing_edges())
+            assert all(moves.values())
 
 
 class TestApply:
@@ -223,7 +223,7 @@ class TestApply:
         tree = make_tree(g, 11, 10, tree_edges)
         e_in = g.find_edge(8, 10)
         e_out = g.find_edge(7, 11)
-        assert e_out in tree.replacable_edges(e_in)
+        assert e_out in tree.fundamental_cycle(e_in)
         before = tree.induced_path()
         assert e_out in before
         tree.apply(BasicMove(e_in, e_out))
@@ -247,8 +247,8 @@ class TestComplexMoves:
             if len(replacing) < 2:
                 continue
             e1, e2 = rng.sample(replacing, 2)
-            m1 = BasicMove(e1, rng.choice(tree.replacable_edges(e1)))
-            m2 = BasicMove(e2, rng.choice(tree.replacable_edges(e2)))
+            m1 = BasicMove(e1, rng.choice(tree.fundamental_cycle(e1)))
+            m2 = BasicMove(e2, rng.choice(tree.fundamental_cycle(e2)))
             if not tree.independent([m1, m2]):
                 continue
             found += 1
@@ -288,8 +288,8 @@ class TestComplexMoves:
             tree = oracles.random_tree_variable(rng, g, 0, 9)
             replacing = tree.replacing_edges()
             e1, e2 = rng.sample(replacing, 2)
-            m1 = BasicMove(e1, rng.choice(tree.replacable_edges(e1)))
-            m2 = BasicMove(e2, rng.choice(tree.replacable_edges(e2)))
+            m1 = BasicMove(e1, rng.choice(tree.fundamental_cycle(e1)))
+            m2 = BasicMove(e2, rng.choice(tree.fundamental_cycle(e2)))
             if not tree.independent([m1, m2]):
                 continue
             before = tree_state(tree)
@@ -359,7 +359,7 @@ class TestPathChangeCharacterization:
             tree = oracles.random_tree_variable(rng, g)
             on_path = set(tree.induced_path())
             for e_in in tree.replacing_edges():
-                for e_out in tree.replacable_edges(e_in):
+                for e_out in tree.fundamental_cycle(e_in):
                     before = tree.induced_path()
                     token = tree.apply(BasicMove(e_in, e_out))
                     changed = tree.induced_path() != before
