@@ -35,7 +35,6 @@ from .objectives import (
     compare,
 )
 from .search import (
-    Model,
     SearchConfig,
     SearchTrace,
     explore_one_move,
@@ -84,7 +83,6 @@ __all__ = [
     "GraphFormatError",
     "GraphValidationError",
     "InvalidMoveError",
-    "Model",
     "PathCost",
     "PathEdgeDisjoint",
     "RootedSpanningTree",

@@ -7,12 +7,12 @@ mutual disjointness.  The local-search solver minimizes that violation
 count; whenever it improves (and periodically), the current paths are
 turned into a feasible solution by *extraction* (repeatedly dropping
 the path sharing most edges with the others) followed by *greedy
-completion* (re-routing dropped commodities on the leftover edges,
-shortest-hop first).  The best feasible solution seen anywhere along
-the run is what the solver returns.
+completion* (re-routing dropped commodities on the leftover edges, in
+index order, shortest hop first).  The best feasible solution seen
+anywhere along the run is what the solver returns.
 
-The baseline is a multi-start greedy: route one random commodity order
-per pass on mutually unused edges, keep the best pass.
+The baseline is a multi-start greedy: one greedy completion per pass,
+from nothing, in a random commodity order; the best pass wins.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 from .graph import Commodity, Graph, path_nodes, shortest_path_avoiding
 from .objectives import PathEdgeDisjoint
-from .search import Model, SearchConfig, SearchTrace, run
+from .search import SearchConfig, SearchTrace, run
 from .treevar import RootedSpanningTree
 
 
@@ -65,18 +65,17 @@ class EdpSolution:
     paths: tuple[tuple[int, ...] | None, ...]
     violation: int
     best_time: float
-    trees: list[RootedSpanningTree] | None = None
+    trees: tuple[RootedSpanningTree, ...] | None = None
 
 
-def build_model(inst: EdpInstance, seed: int) -> Model:
-    """One random tree variable per commodity plus the disjointness
-    constraint as the guiding objective."""
+def build_model(inst: EdpInstance, seed: int) -> PathEdgeDisjoint:
+    """The disjointness constraint over one random tree variable per
+    commodity, in commodity order; it is the guiding objective."""
     rng = random.Random(seed)
-    trees = [
+    return PathEdgeDisjoint([
         RootedSpanningTree.random_tree(inst.graph, c.source, c.target, rng)
         for c in inst.commodities
-    ]
-    return Model(trees=trees, objective=PathEdgeDisjoint(trees))
+    ])
 
 
 def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
@@ -114,16 +113,17 @@ def greedy_complete(
     kept: Mapping[int, Sequence[int]],
     pending: Sequence[tuple[int, Commodity]],
 ) -> dict[int, tuple[int, ...]]:
-    """Try to route the dropped commodities on the edges nothing uses yet.
+    """Try to route the pending commodities on the edges nothing uses yet.
 
-    Commodities are attempted in index order with shortest-hop routing;
-    successes claim their edges immediately.  Never drops an input path.
+    Commodities are attempted in the order ``pending`` lists them, with
+    shortest-hop routing; successes claim their edges immediately.
+    Never drops an input path.
     """
     routed = {i: tuple(p) for i, p in kept.items()}
     used: set[int] = set()
     for p in routed.values():
         used.update(p)
-    for i, c in sorted(pending):
+    for i, c in pending:
         path = shortest_path_avoiding(g, c.source, c.target, used)
         if path is not None:
             routed[i] = tuple(path)
@@ -163,32 +163,33 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
 
     The search itself only ever sees the violation count; feasible
     solutions are extracted at every new violation best and every
-    ``cfg.eval_interval`` iterations, and the best one is kept.
+    ``search.EVAL_INTERVAL`` iterations, and the best one is kept.
     """
-    model = build_model(inst, cfg.seed)
+    constraint = build_model(inst, cfg.seed)
+    trees = constraint.trees
     best = _Best()
 
     def evaluate(clock: float) -> None:
-        paths = [tree.induced_path() for tree in model.trees]
+        paths = [tree.induced_path() for tree in trees]
         objective, routed = evaluate_assignment(inst.graph, inst.commodities, paths)
         if objective > best.objective:
             best.objective = objective
             best.routed = routed
             best.paths = paths
-            best.snapshots = [tree.snapshot() for tree in model.trees]
-            best.violation = model.objective.value()
+            best.snapshots = [tree.snapshot() for tree in trees]
+            best.violation = constraint.value()
             best.time = clock
 
     def callback(kind: str, iteration: int, value: int, clock: float) -> None:
         if kind in ("initial", "improvement", "interval"):
             evaluate(clock)
 
-    trace = run(model, cfg, callback)
+    trace = run(constraint, cfg, callback)
 
     assert best.snapshots is not None  # the initial callback always ran
-    for tree, state in zip(model.trees, best.snapshots):
+    for tree, state in zip(trees, best.snapshots):
         tree.restore(state)
-    model.objective.commit()
+    constraint.commit()
     solution = EdpSolution(
         objective=best.objective,
         retained=tuple(sorted(best.routed)),
@@ -196,7 +197,7 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
         paths=tuple(best.paths),
         violation=best.violation,
         best_time=best.time,
-        trees=model.trees,
+        trees=trees,
     )
     return solution, trace
 
@@ -204,63 +205,44 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
 def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchTrace]:
     """Multi-start greedy baseline.
 
-    Each pass routes the commodities in a fresh random order, giving
-    every commodity the shortest path on edges no earlier one claimed
-    (skipping commodities that cannot be routed), and the best pass
+    Each pass is a greedy completion from nothing in a fresh random
+    commodity order: every commodity gets the shortest path on edges no
+    earlier one claimed, or none if it cannot be routed.  The best pass
     wins.  With ``iter_cap`` set, exactly that many passes run and the
     trace clock counts passes; otherwise passes repeat until the time
     limit (at least one always runs).
     """
     rng = random.Random(cfg.seed)
-    g = inst.graph
-    k = inst.k
     capped = cfg.iter_cap is not None
     start = time.monotonic()
     passes = 0
 
-    def clock() -> float:
-        return float(passes) if capped else time.monotonic() - start
+    def out_of_budget() -> bool:
+        if capped:
+            return passes >= cfg.iter_cap
+        return passes > 0 and time.monotonic() - start >= cfg.time_limit_s
 
     trace = SearchTrace(clock="iterations" if capped else "seconds")
     best_routed: dict[int, tuple[int, ...]] = {}
-    best_time = 0.0
-    have_best = False
-
-    while True:
-        if capped:
-            if passes >= cfg.iter_cap:
-                break
-        elif have_best and time.monotonic() - start >= cfg.time_limit_s:
-            break
+    while not out_of_budget():
         passes += 1
-        order = list(range(k))
+        order = list(range(inst.k))
         rng.shuffle(order)
-        used: set[int] = set()
-        routed: dict[int, tuple[int, ...]] = {}
-        for i in order:
-            c = inst.commodities[i]
-            path = shortest_path_avoiding(g, c.source, c.target, used)
-            if path is not None:
-                routed[i] = tuple(path)
-                used.update(path)
-        if not have_best or len(routed) > len(best_routed):
+        routed = greedy_complete(
+            inst.graph, {}, [(i, inst.commodities[i]) for i in order])
+        if passes == 1 or len(routed) > len(best_routed):
             best_routed = routed
-            best_time = clock()
-            trace.improvements.append((clock(), len(routed)))
-            have_best = True
-        if capped and passes >= cfg.iter_cap:
-            break
+            clock = float(passes) if capped else time.monotonic() - start
+            trace.improvements.append((clock, len(routed)))
 
     trace.iterations = passes
-    trace.best_value = len(best_routed)
-    trace.best_time = best_time
     solution = EdpSolution(
         objective=len(best_routed),
         retained=tuple(sorted(best_routed)),
         routed=best_routed,
-        paths=tuple(best_routed.get(i) for i in range(k)),
+        paths=tuple(best_routed.get(i) for i in range(inst.k)),
         violation=0,
-        best_time=best_time,
+        best_time=trace.best_time,
         trees=None,
     )
     return solution, trace

@@ -11,9 +11,10 @@ and every cost delta computed downstream is exact integer arithmetic.
 
 Text formats
 ------------
-Graph file: first line ``n m``, then ``m`` lines ``u v [w1 w2 ...]``
-with 0-based node ids.  All edge lines must carry the same number of
-weight columns.  Blank lines and lines starting with ``#`` are ignored.
+Graph file: first line ``n m`` (connected, so ``m >= n - 1``), then
+``m`` lines ``u v [w1 w2 ...]`` with 0-based node ids.  All edge lines
+must carry the same number of weight columns.  Blank lines and lines
+starting with ``#`` are ignored.
 
 Commodity file: first line ``k``, then ``k`` lines ``s t``.
 """
@@ -246,6 +247,9 @@ def load_graph(text: str) -> Graph:
         raise GraphFormatError(f"line {lineno}: header must be 'n m', got {header!r}")
     n = _parse_int(parts[0], lineno, "node count")
     m = _parse_int(parts[1], lineno, "edge count")
+    if m < n - 1:
+        raise GraphFormatError(
+            f"line {lineno}: {m} edge(s) cannot connect {n} nodes")
     body = lines[1:]
     if len(body) != m:
         raise GraphFormatError(

@@ -1,8 +1,9 @@
 """First-improvement local search over tree variables.
 
 The engine minimizes one guiding differentiable (typically a violation
-count) over a set of tree variables.  Each iteration walks a portfolio
-of move kinds and accepts the first strictly improving move it finds:
+count) over the tree variables it registers.  Each iteration tries the
+move kinds in this fixed order and accepts the first strictly improving
+move it finds:
 
 * ``one-move``   - a single edge replacement on one tree,
 * ``two-move``   - a pair of independent edge replacements on one tree,
@@ -10,10 +11,10 @@ of move kinds and accepts the first strictly improving move it finds:
   evaluated jointly.
 
 Moves are always drawn from the preferred sets, so every accepted move
-changes at least one induced path.  When the whole portfolio fails for
-``max_stall_iterations`` consecutive iterations the engine diversifies,
-alternating between a small random perturbation of every tree and a
-re-initialization of the worst-contributing tree.
+changes at least one induced path.  When all three kinds fail for
+``STALL_ITERATIONS`` consecutive iterations the engine diversifies,
+alternating between a small random perturbation of the conflicted trees
+and a re-initialization of them.
 
 Runs are deterministic for a fixed seed.  With ``iter_cap`` set the
 wall clock is ignored and trace timestamps are iteration numbers, which
@@ -28,12 +29,22 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .objectives import Differentiable
 from .treevar import BasicMove, ComplexMove, RootedSpanningTree
 
-MOVE_KINDS = ("one-move", "two-move", "pair-move")
+# Failed iterations in a row before a diversification step.
+STALL_ITERATIONS = 5
+# Iterations between two "interval" callbacks.
+EVAL_INTERVAL = 1000
+# Sampled bundles per tree in a two-move search.
+TWO_MOVE_SAMPLES = 20
+# Tree pairs per pair-move search, and sampled move pairs per tree pair.
+PAIR_MOVE_PAIRS = 20
+PAIR_MOVE_SAMPLES = 30
+# Random basic moves per tree in a perturbation.
+PERTURBATION_MOVES = 3
 
 # callback(kind, iteration, guiding value, clock) with kind in
 # {"initial", "improvement", "interval", "perturbation", "restart"}
@@ -41,48 +52,16 @@ Callback = Callable[[str, int, int, float], None]
 
 
 @dataclass
-class Model:
-    """A closed model: the tree variables plus the guiding differentiable."""
-
-    trees: list[RootedSpanningTree]
-    objective: Differentiable
-
-
-@dataclass
 class SearchConfig:
     time_limit_s: float = 10.0
     seed: int = 0
-    max_stall_iterations: int = 5
-    move_portfolio: tuple[str, ...] = MOVE_KINDS
     iter_cap: int | None = None
-    eval_interval: int = 1000
-    two_move_samples: int = 20
-    pair_move_pairs: int = 20
-    pair_move_samples: int = 30
-    perturbation_moves: int = 3
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.time_limit_s) and self.time_limit_s > 0):
             raise ValueError("time_limit_s must be positive and finite")
-        if not self.move_portfolio:
-            raise ValueError("move portfolio must not be empty")
-        for kind in self.move_portfolio:
-            if kind not in MOVE_KINDS:
-                raise ValueError(f"unknown move kind {kind!r}; use {MOVE_KINDS}")
-        if self.max_stall_iterations < 1:
-            raise ValueError("max_stall_iterations must be >= 1")
         if self.iter_cap is not None and self.iter_cap < 0:
             raise ValueError("iter_cap must be >= 0")
-        counts = {
-            "eval_interval": self.eval_interval,
-            "two_move_samples": self.two_move_samples,
-            "pair_move_pairs": self.pair_move_pairs,
-            "pair_move_samples": self.pair_move_samples,
-            "perturbation_moves": self.perturbation_moves,
-        }
-        for name, count in counts.items():
-            if count < 0:
-                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass
@@ -90,17 +69,23 @@ class SearchTrace:
     """What happened during one run, for reporting and reproducibility.
 
     ``improvements`` holds (clock, value) pairs for every new best of the
-    guiding objective; values are strictly decreasing.  ``events`` also
-    records accepted moves and diversification steps.  ``clock`` says how
-    timestamps are measured ('seconds' or 'iterations').
+    objective; the last one is the best.  ``events`` also records accepted
+    moves and diversification steps.  ``clock`` says how timestamps are
+    measured ('seconds' or 'iterations').
     """
 
-    best_value: int = 0
-    best_time: float = 0.0
     iterations: int = 0
     improvements: list[tuple[float, int]] = field(default_factory=list)
     events: list[tuple[float, str, int]] = field(default_factory=list)
     clock: str = "seconds"
+
+    @property
+    def best_value(self) -> int:
+        return self.improvements[-1][1] if self.improvements else 0
+
+    @property
+    def best_time(self) -> float:
+        return self.improvements[-1][0] if self.improvements else 0.0
 
     def to_csv(self) -> str:
         """``time_s,value`` rows, or ``iteration,value`` for the
@@ -159,7 +144,7 @@ def explore_two_move(
     tree: RootedSpanningTree,
     objective: Differentiable,
     rng: random.Random,
-    samples: int = 30,
+    samples: int = TWO_MOVE_SAMPLES,
 ) -> ComplexMove | None:
     """Sampled search for an improving pair of independent basic moves on
     one tree; returns the first strict joint improvement, or None."""
@@ -184,7 +169,7 @@ def explore_pair_move(
     tree_b: RootedSpanningTree,
     objective: Differentiable,
     rng: random.Random,
-    samples: int = 15,
+    samples: int = PAIR_MOVE_SAMPLES,
 ) -> tuple[BasicMove, BasicMove] | None:
     """Sampled search for a jointly improving pair of basic moves on two
     different trees, evaluated with the joint delta."""
@@ -205,7 +190,7 @@ def explore_pair_move(
     return None
 
 
-def _perturb(model: Model, rng: random.Random, moves_per_tree: int) -> None:
+def _perturb(objective: Differentiable, rng: random.Random) -> None:
     """Apply a few random accepted basic moves per perturbed tree; the
     small diversification kick.
 
@@ -216,12 +201,12 @@ def _perturb(model: Model, rng: random.Random, moves_per_tree: int) -> None:
     the kick walks plateaus instead of undoing the descent; a random
     move is the fallback when every sample worsens.
     """
-    targets = model.objective.conflicted_trees()
+    targets = objective.conflicted_trees()
     if not targets:
-        targets = rng.sample(model.trees, min(2, len(model.trees)))
+        targets = rng.sample(objective.trees, min(2, len(objective.trees)))
     for tree in targets:
-        delta = model.objective.move_delta_fn(tree)
-        for _ in range(moves_per_tree):
+        delta = objective.move_delta_fn(tree)
+        for _ in range(PERTURBATION_MOVES):
             choices = tree.preferred_moves()
             if not choices:
                 break
@@ -235,11 +220,11 @@ def _perturb(model: Model, rng: random.Random, moves_per_tree: int) -> None:
                 if picked is None:
                     picked = move
             tree.apply(picked)
-            model.objective.commit()
-            delta = model.objective.move_delta_fn(tree)
+            objective.commit()
+            delta = objective.move_delta_fn(tree)
 
 
-def _restart_conflicted(model: Model, rng: random.Random) -> None:
+def _restart_conflicted(objective: Differentiable, rng: random.Random) -> None:
     """Re-initialize every tree contributing to the guiding value.
 
     Trees that cause no violations keep their state (the clean backbone
@@ -247,21 +232,26 @@ def _restart_conflicted(model: Model, rng: random.Random) -> None:
     with them fresh shortest induced paths.  Objectives that cannot name
     contributors fall back to one random tree.
     """
-    targets = model.objective.conflicted_trees()
+    targets = objective.conflicted_trees()
     if not targets:
-        targets = [rng.choice(model.trees)]
+        targets = [rng.choice(objective.trees)]
     for tree in targets:
         tree.reinit_random(rng)
-        model.objective.commit()
+        objective.commit()
 
 
-def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> SearchTrace:
-    """Minimize the model's guiding objective; returns the trace.
+def run(
+    objective: Differentiable,
+    cfg: SearchConfig,
+    callback: Callback | None = None,
+) -> SearchTrace:
+    """Minimize ``objective`` over the trees it registers; returns the
+    trace.
 
-    The model's trees are left in their final (not necessarily best)
-    state; callers that need the best state must snapshot it from the
-    callback.
+    The trees are left in their final (not necessarily best) state;
+    callers that need the best state must snapshot it from the callback.
     """
+    trees = objective.trees
     rng = random.Random(cfg.seed)
     start = time.monotonic()
     iteration = 0
@@ -276,11 +266,8 @@ def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> Se
         return time.monotonic() - start >= cfg.time_limit_s
 
     trace = SearchTrace(clock="iterations" if capped else "seconds")
-    value = model.objective.value()
-    best = value
+    value = objective.value()
     trace.improvements.append((clock(), value))
-    trace.best_value = value
-    trace.best_time = clock()
     if callback is not None:
         callback("initial", 0, value, clock())
 
@@ -291,91 +278,75 @@ def run(model: Model, cfg: SearchConfig, callback: Callback | None = None) -> Se
     # joint state); remembering that avoids rescanning on stalls.
     scan_failed_at: dict[int, int] = {}
 
-    def state_stamp() -> int:
-        return sum(t.version for t in model.trees)
-
     while not out_of_budget():
         iteration += 1
         accepted = None
 
-        for kind in cfg.move_portfolio:
-            if kind == "one-move":
-                order = list(model.trees)
-                rng.shuffle(order)
-                stamp = state_stamp()
-                for tree in order:
-                    if scan_failed_at.get(id(tree)) == stamp:
-                        continue
-                    move = explore_one_move(tree, model.objective, rng)
-                    if move is not None:
-                        tree.apply(move)
-                        model.objective.commit()
-                        accepted = kind
-                        break
-                    scan_failed_at[id(tree)] = stamp
-            elif kind == "two-move":
-                order = model.objective.conflicted_trees()
-                if not order:
-                    order = list(model.trees)
-                rng.shuffle(order)
-                for tree in order:
-                    cm = explore_two_move(
-                        tree, model.objective, rng, cfg.two_move_samples)
-                    if cm is not None:
-                        tree.apply_complex(cm)
-                        model.objective.commit()
-                        accepted = kind
-                        break
-            elif kind == "pair-move" and len(model.trees) >= 2:
-                # Aim at trees that actually share an overloaded edge when
-                # the objective can point them out; random pairs otherwise.
-                for _ in range(cfg.pair_move_pairs):
-                    pair = model.objective.sample_conflict_pair(rng)
-                    if pair is None:
-                        pair = tuple(rng.sample(model.trees, 2))
-                    tree_a, tree_b = pair
-                    found = explore_pair_move(
-                        tree_a, tree_b, model.objective, rng,
-                        cfg.pair_move_samples)
-                    if found is not None:
-                        tree_a.apply(found[0])
-                        model.objective.commit()
-                        tree_b.apply(found[1])
-                        model.objective.commit()
-                        accepted = kind
-                        break
-            if accepted:
+        order = list(trees)
+        rng.shuffle(order)
+        stamp = sum(t.version for t in trees)
+        for tree in order:
+            if scan_failed_at.get(id(tree)) == stamp:
+                continue
+            move = explore_one_move(tree, objective, rng)
+            if move is not None:
+                tree.apply(move)
+                objective.commit()
+                accepted = "one-move"
                 break
+            scan_failed_at[id(tree)] = stamp
+
+        if accepted is None:
+            order = objective.conflicted_trees() or list(trees)
+            rng.shuffle(order)
+            for tree in order:
+                cm = explore_two_move(tree, objective, rng)
+                if cm is not None:
+                    tree.apply_complex(cm)
+                    objective.commit()
+                    accepted = "two-move"
+                    break
+
+        if accepted is None and len(trees) >= 2:
+            # Aim at trees that actually share an overloaded edge when
+            # the objective can point them out; random pairs otherwise.
+            for _ in range(PAIR_MOVE_PAIRS):
+                tree_a, tree_b = (objective.sample_conflict_pair(rng)
+                                  or rng.sample(trees, 2))
+                found = explore_pair_move(tree_a, tree_b, objective, rng)
+                if found is not None:
+                    tree_a.apply(found[0])
+                    objective.commit()
+                    tree_b.apply(found[1])
+                    objective.commit()
+                    accepted = "pair-move"
+                    break
 
         if accepted:
             stall = 0
-            value = model.objective.value()
+            value = objective.value()
             trace.events.append((clock(), f"accept:{accepted}", value))
-            if value < best:
-                best = value
-                trace.best_value = value
-                trace.best_time = clock()
+            if value < trace.best_value:
                 trace.improvements.append((clock(), value))
                 if callback is not None:
                     callback("improvement", iteration, value, clock())
         else:
             stall += 1
-            if stall >= cfg.max_stall_iterations:
+            if stall >= STALL_ITERATIONS:
                 stall = 0
                 stall_events += 1
                 if stall_events % 2 == 1:
-                    _perturb(model, rng, cfg.perturbation_moves)
+                    _perturb(objective, rng)
                     event = "perturbation"
                 else:
-                    _restart_conflicted(model, rng)
+                    _restart_conflicted(objective, rng)
                     event = "restart"
-                value = model.objective.value()
+                value = objective.value()
                 trace.events.append((clock(), event, value))
                 if callback is not None:
                     callback(event, iteration, value, clock())
 
-        if callback is not None and cfg.eval_interval > 0 \
-                and iteration % cfg.eval_interval == 0:
+        if callback is not None and iteration % EVAL_INTERVAL == 0:
             callback("interval", iteration, value, clock())
 
     trace.iterations = iteration

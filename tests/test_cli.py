@@ -40,16 +40,23 @@ def test_tampered_dump_fails_verification(instance, tmp_path, capsys):
     assert "verify: summary says" in capsys.readouterr().err
 
 
-def _spec(directory, text):
-    path = directory / "bench.spec"
+def _file(directory, name, text):
+    path = directory / name
     path.write_text(text)
     return path
+
+
+def _spec(directory, text):
+    return _file(directory, "bench.spec", text)
 
 
 # argv builders taking (graph file, commodity file, scratch directory)
 BAD_INPUT = {
     "missing file": lambda g, c, d: (
         "solve", "--graph", d / "missing.txt", "--commodities", c),
+    "impossible graph header": lambda g, c, d: (
+        "solve", "--graph", _file(d, "huge.txt", "1000000000 0\n"),
+        "--commodities", c),
     "nan time limit": lambda g, c, d: (
         "solve", "--graph", g, "--commodities", c, "--time-limit", "nan"),
     "ratio 1/0": lambda g, c, d: (

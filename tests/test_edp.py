@@ -4,11 +4,13 @@ import pytest
 
 from treeroute import (
     BenchmarkSpec,
+    Commodity,
     EdpInstance,
     SearchConfig,
     extract_disjoint,
     generate_commodities,
     greedy_complete,
+    load_graph,
     run_benchmark,
     solution_to_dump,
     solve_ls,
@@ -40,9 +42,21 @@ def is_disjoint(paths):
 @pytest.mark.parametrize("solve", [solve_ls, solve_msga])
 def test_solver_outputs_verify(solve):
     for i, inst in enumerate(random_instances(3, 12)):
-        solution, _ = solve(inst, SearchConfig(seed=i, iter_cap=15))
+        solution, trace = solve(inst, SearchConfig(seed=i, iter_cap=15))
         assert verify_dump(solution_to_dump(solution, inst), inst) == []
         assert solution.objective == len(solution.routed)
+        assert (trace.best_time, trace.best_value) == trace.improvements[-1]
+        if solve is solve_msga:
+            assert solution.best_time == trace.best_time
+
+
+def test_msga_without_passes_routes_nothing():
+    inst = next(random_instances(4, 1))
+    solution, trace = solve_msga(inst, SearchConfig(iter_cap=0))
+    assert solution.objective == 0
+    assert verify_dump(solution_to_dump(solution, inst), inst) == []
+    assert trace.improvements == []
+    assert (trace.best_value, trace.best_time) == (0, 0.0)
 
 
 def test_extract_disjoint_is_disjoint_deterministic_and_idempotent():
@@ -73,6 +87,17 @@ def test_greedy_complete_keeps_every_kept_path():
         routed = greedy_complete(g, kept, pending)
         assert all(routed[i] == p for i, p in kept.items())
         assert is_disjoint(routed.values())
+
+
+def test_greedy_complete_routes_in_the_given_order():
+    # two triangles joined by the bridge 2-3; both commodities need it
+    g = load_graph("6 7\n0 1\n1 2\n0 2\n2 3\n3 4\n4 5\n3 5\n")
+    first, second = Commodity(0, 4), Commodity(1, 5)
+    bridge = g.find_edge(2, 3)
+    routed = greedy_complete(g, {}, [(1, second), (0, first)])
+    assert list(routed) == [1] and bridge in routed[1]
+    routed = greedy_complete(g, {}, [(0, first), (1, second)])
+    assert list(routed) == [0] and bridge in routed[0]
 
 
 def test_benchmark_rows_do_not_depend_on_jobs():

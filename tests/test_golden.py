@@ -2,8 +2,10 @@
 
 Each digest covers everything a capped run decides (the solution dump
 or final tree, every new best and every search event), so any change to
-move order, rng use or a delta shows up here.  The digests were recorded
-on the code before the model-layer collapse and must stay as they are.
+move order, rng use or a delta shows up here.  The LS and PathCost
+digests were recorded on the code before the model-layer collapse, the
+MSGA digests before the search-layer collapse; they must stay as they
+are.
 """
 
 import hashlib
@@ -13,7 +15,6 @@ import pytest
 
 from treeroute import (
     EdpInstance,
-    Model,
     PathCost,
     RootedSpanningTree,
     SearchConfig,
@@ -22,6 +23,7 @@ from treeroute import (
     run,
     solution_to_dump,
     solve_ls,
+    solve_msga,
 )
 from treeroute.bench import commodity_count, resolve_graph
 
@@ -48,6 +50,13 @@ LS_GOLDEN = {
         "4998bdaa78925bb4654781fa5623d0e3aa4fb8d3f534accbebbc6a3df19aa6de",
 }
 
+# sha256 of dump + improvements only: MSGA records no search events.
+MSGA_GOLDEN = {
+    0: "b12b49a4a43ca7bcb28c0f26beeb6add0f236e67f873ff909e11c7f29542d276",
+    1: "57dd2ccc3e1d64b4db3b0289ea82401185e5140b61fb03ec5a6f87f3a8e746a6",
+    2: "449be7f30dc44137bbd0cfe25733affbbcf5f6698f31627849f8a980008d6e63",
+}
+
 PATH_COST_GOLDEN = (
     "0f8ae43661ce0439831ccc77a709d18f488a8563c5ac817a7e4432a2973bd7b8")
 
@@ -62,12 +71,23 @@ def test_capped_ls_digest(graph, ratio, seed):
         LS_GOLDEN[graph, ratio, seed]
 
 
+@pytest.mark.parametrize("seed", sorted(MSGA_GOLDEN))
+def test_capped_msga_digest(seed):
+    _, g = resolve_graph("mesh:10x10")
+    k = commodity_count("0.40", g.node_count)
+    inst = EdpInstance(g, tuple(generate_commodities(g, k, seed)))
+    solution, trace = solve_msga(inst, SearchConfig(seed=seed, iter_cap=10))
+    assert trace.events == []
+    text = solution_to_dump(solution, inst) + repr(trace.improvements)
+    assert hashlib.sha256(text.encode()).hexdigest() == MSGA_GOLDEN[seed]
+
+
 def test_capped_path_cost_run_digest():
     # The cheapest 0-23 path costs 4, so the budget of 3 is never met and
     # the run goes through stalls, perturbations and restarts as well.
     rng = random.Random(1)
     g = oracles.random_connected_graph(rng, 24, 40)
     tree = RootedSpanningTree.random_tree(g, 0, 23, 11)
-    model = Model(trees=[tree], objective=compare(PathCost(tree, 0), "<=", 3))
-    trace = run(model, SearchConfig(seed=2, iter_cap=60))
+    objective = compare(PathCost(tree, 0), "<=", 3)
+    trace = run(objective, SearchConfig(seed=2, iter_cap=60))
     assert _digest(tree.dump(), trace) == PATH_COST_GOLDEN

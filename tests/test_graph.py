@@ -69,7 +69,14 @@ class TestLoadGraph:
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphValidationError, match="disconnected"):
+            load_graph("5 4\n0 1\n1 2\n2 0\n3 4\n")
+
+    def test_too_few_edges_rejected_before_building(self):
+        with pytest.raises(GraphFormatError, match="cannot connect"):
             load_graph("4 2\n0 1\n2 3\n")
+        # a graph this large would take minutes to allocate
+        with pytest.raises(GraphFormatError, match="cannot connect"):
+            load_graph("1000000000 0\n")
 
     def test_node_id_out_of_range(self):
         with pytest.raises(GraphValidationError, match="out of range"):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,6 @@ import pytest
 from treeroute import (
     BasicMove,
     ComplexMove,
-    Model,
     PathCost,
     PathEdgeDisjoint,
     RootedSpanningTree,
@@ -52,25 +52,17 @@ def all_preferred_moves(tree):
 class TestSearchConfig:
     def test_defaults_valid(self):
         cfg = SearchConfig()
-        assert cfg.move_portfolio == ("one-move", "two-move", "pair-move")
+        assert [f.name for f in dataclasses.fields(cfg)] == [
+            "time_limit_s", "seed", "iter_cap"]
+        assert cfg.iter_cap is None
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            SearchConfig(time_limit_s=0)
-        for limit in (float("nan"), float("inf"), -1.0):
+        for limit in (0, float("nan"), float("inf"), -1.0):
             with pytest.raises(ValueError, match="time_limit_s"):
                 SearchConfig(time_limit_s=limit)
-        for name in ("eval_interval", "two_move_samples", "pair_move_pairs",
-                     "pair_move_samples", "perturbation_moves"):
-            with pytest.raises(ValueError, match=name):
-                SearchConfig(**{name: -1})
-            SearchConfig(**{name: 0})
-        with pytest.raises(ValueError):
-            SearchConfig(move_portfolio=())
-        with pytest.raises(ValueError):
-            SearchConfig(move_portfolio=("three-move",))
-        with pytest.raises(ValueError):
-            SearchConfig(max_stall_iterations=0)
+        with pytest.raises(ValueError, match="iter_cap"):
+            SearchConfig(iter_cap=-1)
+        assert SearchConfig(iter_cap=0).iter_cap == 0
 
 
 class TestExploreOneMove:
@@ -169,38 +161,38 @@ def small_model(seed=0, k=4):
             continue
         pairs.add((s, t))
         trees.append(RootedSpanningTree.random_tree(g, s, t, rng.randrange(2 ** 32)))
-    return Model(trees=trees, objective=PathEdgeDisjoint(trees))
+    return PathEdgeDisjoint(trees)
 
 
 class TestRun:
     def test_tiny_budget_still_reports_initial(self):
-        model = small_model(1)
+        objective = small_model(1)
         cfg = SearchConfig(iter_cap=0, seed=1)
-        trace = run(model, cfg)
+        trace = run(objective, cfg)
         assert trace.iterations == 0
         assert len(trace.improvements) == 1
-        assert trace.best_value == model.objective.value()
+        assert trace.best_value == objective.value()
+        assert trace.best_time == 0.0
 
     def test_iteration_capped_runs_are_reproducible(self):
         def one():
-            model = small_model(7)
-            trace = run(model, SearchConfig(iter_cap=150, seed=3))
-            return trace.improvements, trace.events, [t.tree_edges for t in model.trees]
+            objective = small_model(7)
+            trace = run(objective, SearchConfig(iter_cap=150, seed=3))
+            return (trace.improvements, trace.events,
+                    [t.tree_edges for t in objective.trees])
 
         a = one()
         b = one()
         assert a == b
 
     def test_improvement_log_strictly_decreases(self):
-        model = small_model(3)
-        trace = run(model, SearchConfig(iter_cap=200, seed=2))
+        trace = run(small_model(3), SearchConfig(iter_cap=200, seed=2))
         values = [v for _, v in trace.improvements]
         assert all(x > y for x, y in zip(values, values[1:]))
-        assert trace.best_value == values[-1]
+        assert (trace.best_time, trace.best_value) == trace.improvements[-1]
 
     def test_accepted_moves_strictly_improve_between_kicks(self):
-        model = small_model(5)
-        trace = run(model, SearchConfig(iter_cap=300, seed=5))
+        trace = run(small_model(5), SearchConfig(iter_cap=300, seed=5))
         last = None
         for _, kind, value in trace.events:
             if kind.startswith("accept:"):
@@ -213,16 +205,15 @@ class TestRun:
     def test_portfolio_order_prefers_one_move(self):
         # an improving single move exists, so the first accepted move of a
         # run must come from the one-move phase
-        model = small_model(1, k=5)
-        assert model.objective.value() > 0
-        assert any(explore_one_move(t, model.objective) for t in model.trees)
-        trace = run(model, SearchConfig(iter_cap=50, seed=4))
+        objective = small_model(1, k=5)
+        assert objective.value() > 0
+        assert any(explore_one_move(t, objective) for t in objective.trees)
+        trace = run(objective, SearchConfig(iter_cap=50, seed=4))
         accepts = [kind for _, kind, _ in trace.events if kind.startswith("accept:")]
         assert accepts and accepts[0] == "accept:one-move"
 
     def test_trace_csv_shape(self):
-        model = small_model(9)
-        trace = run(model, SearchConfig(iter_cap=50, seed=0))
+        trace = run(small_model(9), SearchConfig(iter_cap=50, seed=0))
         lines = trace.to_csv().splitlines()
         assert lines[0] == "iteration,value"
         assert len(lines) == 1 + len(trace.improvements)
@@ -234,20 +225,18 @@ class TestRun:
     def test_wall_clock_budget_respected(self):
         import time
 
-        model = small_model(13)
         start = time.monotonic()
-        run(model, SearchConfig(time_limit_s=0.3, seed=0))
+        run(small_model(13), SearchConfig(time_limit_s=0.3, seed=0))
         assert time.monotonic() - start < 3.0
 
     def test_moves_come_from_preferred_sets_and_change_paths(self):
         # every accepted move changes at least one induced path: the path
         # set over all trees must differ around each accept event
-        model = small_model(17)
-        objective = model.objective
-        seen_paths = [tuple(t.induced_path() for t in model.trees)]
+        objective = small_model(17)
+        seen_paths = [tuple(t.induced_path() for t in objective.trees)]
 
         def callback(kind, iteration, value, clock):
-            seen_paths.append(tuple(t.induced_path() for t in model.trees))
+            seen_paths.append(tuple(t.induced_path() for t in objective.trees))
 
-        run(model, SearchConfig(iter_cap=120, seed=6), callback)
+        run(objective, SearchConfig(iter_cap=120, seed=6), callback)
         assert objective.value() == objective._current()
