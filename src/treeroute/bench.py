@@ -1,11 +1,11 @@
 """Benchmark harness: run solver suites over instance cells, emit CSV.
 
 A *cell* is one (graph, commodity ratio) combination; it holds
-``instances_per_cell`` instances that differ only in the commodity
-sample seed.  Every configured solver runs once per instance with a
-pre-assigned seed, so results do not depend on scheduling, and the
-harness reports both per-run raw rows and per-cell aggregates (mean
-best objective, mean time to best).
+``instances_per_cell`` instances.  Instance ``i`` uses seed
+``base_seed + i`` for both its commodity sample and every solver run
+on it, so results do not depend on scheduling.  Every configured solver
+runs once per instance, and the harness reports both per-run raw rows
+and per-cell aggregates (mean best objective, mean time to best).
 
 Graphs are given either as file paths or as generator specs
 (``mesh:WxH`` or ``random:N,M,SEED``).  Benchmark specs are plain
@@ -50,7 +50,6 @@ class BenchmarkSpec:
     time_limit_s: float = 10.0
     iter_cap: int | None = None
     base_seed: int = 0
-    seeds: list[int] | None = None
     solvers: list[str] = field(default_factory=lambda: ["ls", "msga"])
     jobs: int = 1
 
@@ -59,6 +58,7 @@ class BenchmarkSpec:
             raise ValueError("benchmark spec needs at least one graph")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be >= 1")
+        ratios = set()
         for r in self.commodity_ratios:
             try:
                 f = Fraction(r)
@@ -66,22 +66,18 @@ class BenchmarkSpec:
                 raise ValueError(f"commodity ratio {r} divides by zero") from None
             if not (0 < f <= 1):
                 raise ValueError(f"commodity ratio {r} not in (0, 1]")
+            if f in ratios:
+                raise ValueError(f"commodity ratio {r} listed twice")
+            ratios.add(f)
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}; use one of {SOLVERS}")
         if not self.solvers:
             raise ValueError("benchmark spec needs at least one solver")
-        if self.seeds is not None and len(self.seeds) < self.instances_per_cell:
-            raise ValueError(
-                f"{len(self.seeds)} seeds given for {self.instances_per_cell} instances"
-            )
+        if len(set(self.solvers)) != len(self.solvers):
+            raise ValueError(f"a solver is listed twice in {self.solvers}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-
-    def instance_seed(self, index: int) -> int:
-        if self.seeds is not None:
-            return self.seeds[index]
-        return self.base_seed + index
 
 
 def parse_spec(text: str) -> BenchmarkSpec:
@@ -108,8 +104,6 @@ def parse_spec(text: str) -> BenchmarkSpec:
             kwargs["iter_cap"] = int(value)
         elif key == "seed":
             kwargs["base_seed"] = int(value)
-        elif key == "seeds":
-            kwargs["seeds"] = [int(v) for v in value.split(",") if v.strip()]
         elif key == "solvers":
             kwargs["solvers"] = [v.strip() for v in value.split(",") if v.strip()]
         elif key == "jobs":
@@ -144,51 +138,29 @@ def _cached_graph(entry: str) -> tuple[str, Graph]:
     return resolve_graph(entry)
 
 
-@dataclass(frozen=True)
-class RawRow:
-    graph: str
-    ratio: str
-    k: int
-    solver: str
-    seed: int
-    q: int
-    t_s: float
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    graph: str
-    ratio: str
-    k: int
-    solver: str
-    q_mean: float
-    t_mean_s: float
-    instances: int
-
-
 @dataclass
 class BenchResult:
-    raw_rows: list[RawRow]
-    aggregate_rows: list[AggregateRow]
+    """Rows are plain tuples in the column order of ``RAW_HEADER`` and
+    ``AGGREGATE_HEADER``."""
+
+    raw_rows: list[tuple]
+    aggregate_rows: list[tuple]
 
     def raw_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(RAW_HEADER)
-        for r in self.raw_rows:
-            writer.writerow(
-                [r.graph, r.ratio, r.k, r.solver, r.seed, r.q, f"{r.t_s:.3f}"])
-        return buf.getvalue()
+        return _csv(RAW_HEADER, self.raw_rows)
 
     def aggregate_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(AGGREGATE_HEADER)
-        for r in self.aggregate_rows:
-            writer.writerow(
-                [r.graph, r.ratio, r.k, r.solver,
-                 f"{r.q_mean:.3f}", f"{r.t_mean_s:.3f}", r.instances])
-        return buf.getvalue()
+        return _csv(AGGREGATE_HEADER, self.aggregate_rows)
+
+
+def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
+    """CSV text with every float written to three decimals."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.3f}" if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
 
 
 def commodity_count(ratio: str, node_count: int) -> int:
@@ -197,7 +169,7 @@ def commodity_count(ratio: str, node_count: int) -> int:
     return k
 
 
-def _run_one(task: tuple) -> tuple:
+def _run_one(task: tuple) -> tuple[int, float]:
     entry, ratio, k, solver, seed, time_limit_s, iter_cap = task
     _, g = _cached_graph(entry)
     commodities = tuple(generate_commodities(g, k, seed))
@@ -205,16 +177,22 @@ def _run_one(task: tuple) -> tuple:
     cfg = SearchConfig(time_limit_s=time_limit_s, seed=seed, iter_cap=iter_cap)
     solve = solve_ls if solver == "ls" else solve_msga
     solution, _ = solve(inst, cfg)
-    return task, solution.objective, solution.best_time
+    return solution.objective, solution.best_time
 
 
 def run_benchmark(spec: BenchmarkSpec) -> BenchResult:
     """Run all cells of the spec; deterministic for fixed seeds even when
-    jobs > 1 (seeds are pre-assigned per instance and rows are ordered)."""
+    jobs > 1 (seeds are pre-assigned per instance and rows are ordered).
+
+    Raises ValueError when two graph entries resolve to the same name,
+    since their rows could not be told apart.
+    """
     tasks = []
-    names = {}
+    names: dict[str, str] = {}
     for entry in spec.graphs:
         name, g = _cached_graph(entry)
+        if name in names.values():
+            raise ValueError(f"two graph entries resolve to the name {name!r}")
         names[entry] = name
         for ratio in spec.commodity_ratios:
             k = commodity_count(ratio, g.node_count)
@@ -224,10 +202,9 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchResult:
                     f"({g.node_count} nodes)"
                 )
             for i in range(spec.instances_per_cell):
-                seed = spec.instance_seed(i)
                 for solver in spec.solvers:
                     tasks.append(
-                        (entry, ratio, k, solver, seed,
+                        (entry, ratio, k, solver, spec.base_seed + i,
                          spec.time_limit_s, spec.iter_cap))
 
     if spec.jobs > 1:
@@ -237,28 +214,16 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchResult:
         outcomes = [_run_one(t) for t in tasks]
 
     raw_rows = []
-    for task, q, t_best in outcomes:
-        entry, ratio, k, solver, seed, _, _ = task
-        raw_rows.append(RawRow(names[entry], ratio, k, solver, seed, q, t_best))
-
-    aggregate_rows = []
-    for entry in spec.graphs:
-        for ratio in spec.commodity_ratios:
-            for solver in spec.solvers:
-                cell = [
-                    r for r in raw_rows
-                    if r.graph == names[entry] and r.ratio == ratio
-                    and r.solver == solver
-                ]
-                if not cell:
-                    continue
-                aggregate_rows.append(AggregateRow(
-                    graph=names[entry],
-                    ratio=ratio,
-                    k=cell[0].k,
-                    solver=solver,
-                    q_mean=sum(r.q for r in cell) / len(cell),
-                    t_mean_s=sum(r.t_s for r in cell) / len(cell),
-                    instances=len(cell),
-                ))
+    # cell (graph, ratio, k, solver) -> (qs, times), in first-run order
+    cells: dict[tuple, tuple[list[int], list[float]]] = {}
+    for (entry, ratio, k, solver, seed, _, _), (q, t_best) in zip(tasks, outcomes):
+        cell = (names[entry], ratio, k, solver)
+        raw_rows.append(cell + (seed, q, t_best))
+        qs, times = cells.setdefault(cell, ([], []))
+        qs.append(q)
+        times.append(t_best)
+    aggregate_rows = [
+        cell + (sum(qs) / len(qs), sum(times) / len(times), len(qs))
+        for cell, (qs, times) in cells.items()
+    ]
     return BenchResult(raw_rows, aggregate_rows)

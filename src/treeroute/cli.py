@@ -155,22 +155,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "generate": _cmd_generate,
+    "solve": _cmd_solve,
+    "bench": _cmd_bench,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
+        return _COMMANDS[args.command](args)
     except (OSError, GraphFormatError, GraphValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def entrypoint() -> None:

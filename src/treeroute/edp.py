@@ -51,21 +51,19 @@ class EdpInstance:
 class EdpSolution:
     """A feasible solution: a set of mutually edge-disjoint paths.
 
-    ``retained`` are the commodity indices that got a path; ``routed``
-    maps each of them to its edge sequence.  For the local-search solver
-    ``trees`` holds the tree variables restored to the state that produced
-    the solution and ``paths`` the induced path of every commodity at
-    that moment; the greedy baseline has no trees (``trees is None``) and
-    ``paths`` holds its routed paths (None where unrouted).
+    ``routed`` maps each commodity index that got a path to its edge
+    sequence; the objective is how many there are.  ``violation`` is the
+    guiding constraint's value when the solution was found (0 for the
+    greedy baseline) and ``best_time`` the trace clock at that moment.
     """
 
-    objective: int
-    retained: tuple[int, ...]
     routed: dict[int, tuple[int, ...]]
-    paths: tuple[tuple[int, ...] | None, ...]
     violation: int
     best_time: float
-    trees: tuple[RootedSpanningTree, ...] | None = None
+
+    @property
+    def objective(self) -> int:
+        return len(self.routed)
 
 
 def build_model(inst: EdpInstance, seed: int) -> PathEdgeDisjoint:
@@ -135,8 +133,8 @@ def evaluate_assignment(
     g: Graph,
     commodities: Sequence[Commodity],
     paths: Sequence[Sequence[int]],
-) -> tuple[int, dict[int, tuple[int, ...]]]:
-    """Feasible objective reachable from the given (possibly conflicting)
+) -> dict[int, tuple[int, ...]]:
+    """Feasible routing reachable from the given (possibly conflicting)
     paths: extraction followed by greedy completion."""
     retained = extract_disjoint(paths)
     retained_set = set(retained)
@@ -144,18 +142,7 @@ def evaluate_assignment(
     pending = [
         (i, commodities[i]) for i in range(len(paths)) if i not in retained_set
     ]
-    routed = greedy_complete(g, kept, pending)
-    return len(routed), routed
-
-
-@dataclass
-class _Best:
-    objective: int = -1
-    routed: dict[int, tuple[int, ...]] | None = None
-    paths: list[tuple[int, ...]] | None = None
-    snapshots: list | None = None
-    violation: int = 0
-    time: float = 0.0
+    return greedy_complete(g, kept, pending)
 
 
 def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchTrace]:
@@ -163,43 +150,25 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
 
     The search itself only ever sees the violation count; feasible
     solutions are extracted at every new violation best and every
-    ``search.EVAL_INTERVAL`` iterations, and the best one is kept.
+    ``search.EVAL_INTERVAL`` iterations, and the first one with the most
+    routed commodities is returned.  The trees are left in their final
+    search state, not the one that gave the best routing.
     """
     constraint = build_model(inst, cfg.seed)
-    trees = constraint.trees
-    best = _Best()
-
-    def evaluate(clock: float) -> None:
-        paths = [tree.induced_path() for tree in trees]
-        objective, routed = evaluate_assignment(inst.graph, inst.commodities, paths)
-        if objective > best.objective:
-            best.objective = objective
-            best.routed = routed
-            best.paths = paths
-            best.snapshots = [tree.snapshot() for tree in trees]
-            best.violation = constraint.value()
-            best.time = clock
+    best: EdpSolution | None = None
 
     def callback(kind: str, iteration: int, value: int, clock: float) -> None:
-        if kind in ("initial", "improvement", "interval"):
-            evaluate(clock)
+        nonlocal best
+        if kind not in ("initial", "improvement", "interval"):
+            return
+        paths = [tree.induced_path() for tree in constraint.trees]
+        routed = evaluate_assignment(inst.graph, inst.commodities, paths)
+        if best is None or len(routed) > best.objective:
+            best = EdpSolution(routed, constraint.value(), clock)
 
     trace = run(constraint, cfg, callback)
-
-    assert best.snapshots is not None  # the initial callback always ran
-    for tree, state in zip(trees, best.snapshots):
-        tree.restore(state)
-    constraint.commit()
-    solution = EdpSolution(
-        objective=best.objective,
-        retained=tuple(sorted(best.routed)),
-        routed=best.routed,
-        paths=tuple(best.paths),
-        violation=best.violation,
-        best_time=best.time,
-        trees=trees,
-    )
-    return solution, trace
+    assert best is not None  # the initial callback always runs
+    return best, trace
 
 
 def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchTrace]:
@@ -236,16 +205,7 @@ def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, Searc
             trace.improvements.append((clock, len(routed)))
 
     trace.iterations = passes
-    solution = EdpSolution(
-        objective=len(best_routed),
-        retained=tuple(sorted(best_routed)),
-        routed=best_routed,
-        paths=tuple(best_routed.get(i) for i in range(inst.k)),
-        violation=0,
-        best_time=trace.best_time,
-        trees=None,
-    )
-    return solution, trace
+    return EdpSolution(best_routed, 0, trace.best_time), trace
 
 
 # -- solution dumps ----------------------------------------------------------
@@ -255,7 +215,7 @@ def solution_to_dump(solution: EdpSolution, inst: EdpInstance) -> str:
     """Text dump: one line per routed commodity
     ``i s t hop_count : v0 v1 ... vL`` plus a summary line."""
     lines = []
-    for i in solution.retained:
+    for i in sorted(solution.routed):
         c = inst.commodities[i]
         path = solution.routed[i]
         nodes = path_nodes(inst.graph, c.source, path)

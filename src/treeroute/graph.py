@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
-from typing import Iterable, Sequence
+from typing import AbstractSet, Sequence
 
 
 class GraphFormatError(ValueError):
@@ -174,9 +174,11 @@ def path_nodes(g: Graph, start: int, edges: Sequence[int]) -> list[int]:
 
 
 def shortest_path_avoiding(
-    g: Graph, s: int, t: int, forbidden: Iterable[int] = ()
+    g: Graph, s: int, t: int, forbidden: AbstractSet[int] = frozenset()
 ) -> list[int] | None:
     """Minimum-hop elementary path from s to t using no forbidden edge.
+
+    ``forbidden`` is read in place, not copied.
 
     Returns the edge sequence, or None if t is unreachable.  Deterministic:
     breadth-first expansion visits incident edges in ascending edge-id
@@ -184,7 +186,6 @@ def shortest_path_avoiding(
     """
     if s == t:
         raise ValueError("source equals target")
-    blocked = set(forbidden)
     parent_edge = [-1] * g.node_count
     seen = [False] * g.node_count
     seen[s] = True
@@ -192,7 +193,7 @@ def shortest_path_avoiding(
     while queue:
         u = queue.popleft()
         for eid in g.adjacency[u]:
-            if eid in blocked:
+            if eid in forbidden:
                 continue
             w = g.other_end(eid, u)
             if not seen[w]:

@@ -249,7 +249,8 @@ def run(
     trace.
 
     The trees are left in their final (not necessarily best) state;
-    callers that need the best state must snapshot it from the callback.
+    callers that need the best solution must record it from the
+    callback, as ``edp.solve_ls`` records its routing.
     """
     trees = objective.trees
     rng = random.Random(cfg.seed)

@@ -503,20 +503,7 @@ class RootedSpanningTree:
             y = self._father_node[y]
         return edges_u[: pos[y]], edges_v
 
-    # -- state management and diagnostics -------------------------------------
-
-    def snapshot(self) -> tuple[list[int], list[int]]:
-        """Copy of the tree structure, for later :meth:`restore`."""
-        return (list(self._father_node), list(self._father_edge))
-
-    def restore(self, state: tuple[list[int], list[int]]) -> None:
-        father_node, father_edge = state
-        self._father_node = list(father_node)
-        self._father_edge = list(father_edge)
-        self._tree_edges = {e for e in self._father_edge if e >= 0}
-        self._bump()
-        if DEBUG_CHECKS:
-            self.validate()
+    # -- diagnostics ---------------------------------------------------------
 
     def validate(self) -> None:
         """Check all spanning-tree invariants; raises AssertionError."""

@@ -62,6 +62,11 @@ BAD_INPUT = {
     "ratio 1/0": lambda g, c, d: (
         "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=1/0\n"),
         "--out", d / "o.csv"),
+    "duplicate spec graph": lambda g, c, d: (
+        "bench", "--spec",
+        _spec(d, "graph=mesh:3x3\ngraph=mesh:3x3\nratios=0.5\ninstances=1\n"
+                 "iter_cap=1\n"),
+        "--out", d / "o.csv"),
     "nan spec time limit": lambda g, c, d: (
         "bench", "--spec",
         _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\ntime_limit=nan\n"),

@@ -43,7 +43,10 @@ def is_disjoint(paths):
 def test_solver_outputs_verify(solve):
     for i, inst in enumerate(random_instances(3, 12)):
         solution, trace = solve(inst, SearchConfig(seed=i, iter_cap=15))
-        assert verify_dump(solution_to_dump(solution, inst), inst) == []
+        dump = solution_to_dump(solution, inst)
+        assert verify_dump(dump, inst) == []
+        listed = [int(line.split()[0]) for line in dump.splitlines()[:-1]]
+        assert listed == sorted(solution.routed)
         assert solution.objective == len(solution.routed)
         assert (trace.best_time, trace.best_value) == trace.improvements[-1]
         if solve is solve_msga:
@@ -98,6 +101,19 @@ def test_greedy_complete_routes_in_the_given_order():
     assert list(routed) == [1] and bridge in routed[1]
     routed = greedy_complete(g, {}, [(0, first), (1, second)])
     assert list(routed) == [0] and bridge in routed[0]
+
+
+@pytest.mark.parametrize("graphs,ratios,solvers", [
+    (["mesh:4x4", "mesh:4x4"], ["0.25"], ["msga"]),
+    (["mesh:4x4", "mesh:04x4"], ["0.25"], ["msga"]),
+    (["mesh:4x4"], ["0.25", "1/4"], ["msga"]),
+    (["mesh:4x4"], ["0.25"], ["msga", "ls", "msga"]),
+])
+def test_benchmark_rejects_duplicate_cells(graphs, ratios, solvers):
+    with pytest.raises(ValueError):
+        run_benchmark(BenchmarkSpec(graphs=graphs, commodity_ratios=ratios,
+                                    instances_per_cell=2, iter_cap=3,
+                                    solvers=solvers))
 
 
 def test_benchmark_rows_do_not_depend_on_jobs():

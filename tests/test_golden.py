@@ -4,8 +4,8 @@ Each digest covers everything a capped run decides (the solution dump
 or final tree, every new best and every search event), so any change to
 move order, rng use or a delta shows up here.  The LS and PathCost
 digests were recorded on the code before the model-layer collapse, the
-MSGA digests before the search-layer collapse; they must stay as they
-are.
+MSGA digests before the search-layer collapse, the bench digest before
+the application-layer collapse; they must stay as they are.
 """
 
 import hashlib
@@ -14,6 +14,7 @@ import random
 import pytest
 
 from treeroute import (
+    BenchmarkSpec,
     EdpInstance,
     PathCost,
     RootedSpanningTree,
@@ -21,6 +22,7 @@ from treeroute import (
     compare,
     generate_commodities,
     run,
+    run_benchmark,
     solution_to_dump,
     solve_ls,
     solve_msga,
@@ -60,6 +62,10 @@ MSGA_GOLDEN = {
 PATH_COST_GOLDEN = (
     "0f8ae43661ce0439831ccc77a709d18f488a8563c5ac817a7e4432a2973bd7b8")
 
+# sha256 of the raw CSV followed by the aggregate CSV.
+BENCH_GOLDEN = (
+    "1138c22b724e4711f787bc5202ce551d8988672bdfef70a361c8728814385faf")
+
 
 @pytest.mark.parametrize("graph,ratio,seed", sorted(LS_GOLDEN))
 def test_capped_ls_digest(graph, ratio, seed):
@@ -91,3 +97,13 @@ def test_capped_path_cost_run_digest():
     objective = compare(PathCost(tree, 0), "<=", 3)
     trace = run(objective, SearchConfig(seed=2, iter_cap=60))
     assert _digest(tree.dump(), trace) == PATH_COST_GOLDEN
+
+
+def test_capped_bench_csv_digest():
+    # Capped t_s counts iterations, so both CSVs are deterministic.
+    spec = BenchmarkSpec(graphs=["mesh:6x6", "random:12,20,3"],
+                         commodity_ratios=["0.25", "0.40"],
+                         instances_per_cell=2, iter_cap=8, solvers=["ls", "msga"])
+    result = run_benchmark(spec)
+    text = result.raw_csv() + result.aggregate_csv()
+    assert hashlib.sha256(text.encode()).hexdigest() == BENCH_GOLDEN

@@ -368,16 +368,6 @@ class TestPathChangeCharacterization:
 
 
 class TestStateManagement:
-    def test_snapshot_restore(self):
-        g = generate_mesh(3, 3)
-        tree = RootedSpanningTree.random_tree(g, 0, 8, rng=2)
-        state = tree.snapshot()
-        before = tree_state(tree)
-        for seed in range(3):
-            tree.reinit_random(seed)
-        tree.restore(state)
-        assert tree_state(tree) == before
-
     def test_dump_format(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
         lines = tree.dump().splitlines()
