@@ -17,6 +17,7 @@ from nothing, in a random commodity order; the best pass wins.
 
 from __future__ import annotations
 
+import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -80,30 +81,46 @@ def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
     """Indices of a mutually edge-disjoint subset of ``paths``.
 
     Repeatedly drops the path with the most edges shared with other
-    still-retained paths; on ties the higher index is dropped, so lower
-    indices win.  Disjoint input is returned in full, and re-running on
-    the retained subset is the identity.
+    still-retained paths (a repeated edge counts once); on ties the
+    higher index is dropped, so lower indices win.  Disjoint input is
+    returned in full, and re-running on the retained subset is the
+    identity.
+
+    Incremental: one pass over the paths records each edge's users, and
+    with them each path's overlap.  A max-heap on ``(overlap, index)``
+    yields the path to drop; overlaps only fall, so an entry whose count
+    no longer matches is stale and skipped.  A drop lowers its edges'
+    loads, and an edge left with one user costs that user one overlap.
+    The cost is O((total path length + drops) log k), not a rescan of
+    every retained path per drop.
     """
-    path_sets = [set(p) for p in paths]
-    retained = set(range(len(paths)))
-    loads: dict[int, int] = {}
-    for i in retained:
-        for e in path_sets[i]:
-            loads[e] = loads.get(e, 0) + 1
-    while True:
-        worst_key = None
-        for i in retained:
-            overlap = sum(1 for e in path_sets[i] if loads[e] >= 2)
-            key = (overlap, i)
-            if worst_key is None or key > worst_key:
-                worst_key = key
-        if worst_key is None or worst_key[0] == 0:
-            break
-        drop = worst_key[1]
-        retained.remove(drop)
-        for e in path_sets[drop]:
+    users: dict[int, list[int]] = {}
+    for i, p in enumerate(paths):
+        for e in set(p):
+            users.setdefault(e, []).append(i)
+    loads = {e: len(u) for e, u in users.items()}
+    overlap = [0] * len(paths)
+    for u in users.values():
+        if len(u) >= 2:
+            for i in u:
+                overlap[i] += 1
+    heap = [(-o, -i) for i, o in enumerate(overlap) if o]
+    heapq.heapify(heap)
+    retained = [True] * len(paths)
+    while heap:
+        neg_o, neg_d = heapq.heappop(heap)
+        d = -neg_d
+        if -neg_o != overlap[d]:
+            continue
+        retained[d] = False
+        for e in set(paths[d]):
             loads[e] -= 1
-    return sorted(retained)
+            if loads[e] == 1:
+                last = next(i for i in users[e] if retained[i])
+                overlap[last] -= 1
+                if overlap[last]:
+                    heapq.heappush(heap, (-overlap[last], -last))
+    return [i for i, kept in enumerate(retained) if kept]
 
 
 def greedy_complete(

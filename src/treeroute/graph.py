@@ -53,11 +53,14 @@ class Commodity:
 class Graph:
     """Undirected simple connected graph with dense edge ids.
 
-    Immutable after construction; safe to share across threads.
+    ``adjacency[u]`` lists the ids of the edges at ``u`` in input order;
+    ``neighbors[u]`` pairs each of them with its other end, for the
+    breadth-first loops.  Immutable after construction; safe to share
+    across threads.
     """
 
     __slots__ = ("node_count", "edges", "weights", "weight_scales",
-                 "adjacency", "_edge_ids")
+                 "adjacency", "neighbors", "_edge_ids")
 
     def __init__(
         self,
@@ -72,6 +75,7 @@ class Graph:
         edge_list: list[tuple[int, int]] = []
         edge_ids: dict[tuple[int, int], int] = {}
         adjacency: list[list[int]] = [[] for _ in range(node_count)]
+        neighbors: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < node_count and 0 <= v < node_count):
                 raise GraphValidationError(
@@ -88,10 +92,15 @@ class Graph:
             edge_list.append((u, v))
             adjacency[u].append(eid)
             adjacency[v].append(eid)
+            neighbors[u].append((eid, v))
+            neighbors[v].append((eid, u))
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
         self._edge_ids = edge_ids
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(
             tuple(a) for a in adjacency
+        )
+        self.neighbors: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+            tuple(a) for a in neighbors
         )
 
         if weights is None:
@@ -192,10 +201,9 @@ def shortest_path_avoiding(
     queue = deque([s])
     while queue:
         u = queue.popleft()
-        for eid in g.adjacency[u]:
+        for eid, w in g.neighbors[u]:
             if eid in forbidden:
                 continue
-            w = g.other_end(eid, u)
             if not seen[w]:
                 seen[w] = True
                 parent_edge[w] = eid

@@ -3,9 +3,11 @@
 A :class:`RootedSpanningTree` represents one elementary path implicitly:
 the tree spans the whole graph, is rooted at the path's target node, and
 the unique source-to-root chain of father pointers is the modeled path
-(the *induced path*).  Changing the tree by swapping one non-tree edge in
-and one tree edge out yields a new spanning tree and therefore possibly a
-new induced path; that swap is the elementary move of the neighborhood.
+(the *induced path*).  The father pointers are the variable's whole
+state: an edge's tree membership is read off them.  Changing the tree by
+swapping one non-tree edge in and one tree edge out yields a new spanning
+tree and therefore possibly a new induced path; that swap is the
+elementary move of the neighborhood.
 
 Terminology used throughout:
 
@@ -66,8 +68,6 @@ class ComplexMove:
 @dataclass
 class _BasicUndo:
     reoriented: list[tuple[int, int, int]]  # (node, old father node, old father edge)
-    e_in: int
-    e_out: int
     version_after: int
 
 
@@ -86,12 +86,14 @@ def _as_rng(seed: int | random.Random) -> random.Random:
 class RootedSpanningTree:
     """Mutable spanning tree of a graph, rooted at the path target.
 
-    Father pointers orient every edge towards the root.  The variable is
+    Father pointers orient every edge towards the root, and they are the
+    whole state: an edge is a tree edge iff it is the father edge of one
+    of its endpoints, so no separate edge set is kept.  The variable is
     single-writer: mutate it from one thread only.
     """
 
     __slots__ = ("graph", "source", "root", "version",
-                 "_father_node", "_father_edge", "_tree_edges", "_path",
+                 "_father_node", "_father_edge", "_path",
                  "_index")
 
     def __init__(self, graph: Graph, source: int, root: int,
@@ -106,7 +108,6 @@ class RootedSpanningTree:
         self.root = root
         self._father_node = father_node
         self._father_edge = father_edge
-        self._tree_edges = {e for e in father_edge if e >= 0}
         self.version = 0
         # Derived from the tree, filled lazily and cleared by _bump().
         self._path: tuple[int, ...] | None = None
@@ -167,10 +168,9 @@ class RootedSpanningTree:
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            incident = list(graph.adjacency[u])
+            incident = list(graph.neighbors[u])
             rng.shuffle(incident)
-            for eid in incident:
-                w = graph.other_end(eid, u)
+            for eid, w in incident:
                 if not seen[w]:
                     seen[w] = True
                     father_node[w] = u
@@ -182,7 +182,6 @@ class RootedSpanningTree:
         """Replace the whole tree with a fresh random one (used by restarts)."""
         self._father_node, self._father_edge = self._random_fathers(
             self.graph, self.root, _as_rng(rng))
-        self._tree_edges = {e for e in self._father_edge if e >= 0}
         self._bump()
         if DEBUG_CHECKS:
             self.validate()
@@ -191,7 +190,7 @@ class RootedSpanningTree:
 
     @property
     def tree_edges(self) -> frozenset[int]:
-        return frozenset(self._tree_edges)
+        return frozenset(e for e in self._father_edge if e >= 0)
 
     def father_of(self, node: int) -> int:
         """Father node id, or -1 for the root."""
@@ -222,12 +221,13 @@ class RootedSpanningTree:
 
     def replacing_edges(self) -> list[int]:
         """All non-tree edges, ascending."""
-        return [e for e in range(self.graph.edge_count) if e not in self._tree_edges]
+        tree = set(self._father_edge)
+        return [e for e in range(self.graph.edge_count) if e not in tree]
 
     def fundamental_cycle(self, e_in: int) -> list[int]:
         """Tree edges on the cycle closed by inserting ``e_in``, ordered
         from e_in's first endpoint to its second."""
-        if not (0 <= e_in < self.graph.edge_count) or e_in in self._tree_edges:
+        if not (0 <= e_in < self.graph.edge_count) or self._in_tree(e_in):
             raise InvalidMoveError(f"edge {e_in} is not a replacing edge")
         seg_u, seg_v = self._cycle_segments(e_in)
         return seg_u + seg_v[::-1]
@@ -252,7 +252,7 @@ class RootedSpanningTree:
         its own cycle."""
         cycles: list[set[int]] = []
         for m in moves:
-            if m.e_in in self._tree_edges:
+            if 0 <= m.e_in < self.graph.edge_count and self._in_tree(m.e_in):
                 return False
             cycle = set(self.fundamental_cycle(m.e_in))
             if m.e_out not in cycle:
@@ -280,10 +280,10 @@ class RootedSpanningTree:
         e_in, e_out = move.e_in, move.e_out
         if not (0 <= e_in < self.graph.edge_count):
             raise InvalidMoveError(f"no such edge {e_in}")
-        if e_in in self._tree_edges:
+        u, v = self.graph.edges[e_in]
+        if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
             raise InvalidMoveError(f"edge {e_in} is already a tree edge")
         seg_u, seg_v = self._cycle_segments(e_in)
-        u, v = self.graph.endpoints(e_in)
         if e_out in seg_u:
             inside, outside = u, v
         elif e_out in seg_v:
@@ -309,10 +309,8 @@ class RootedSpanningTree:
             new_father, new_edge = cur, old_edge
             cur = old_father
 
-        self._tree_edges.discard(e_out)
-        self._tree_edges.add(e_in)
         self._bump()
-        return _BasicUndo(reoriented, e_in, e_out, self.version)
+        return _BasicUndo(reoriented, self.version)
 
     def apply_complex(self, cm: ComplexMove) -> _ComplexUndo | _BasicUndo:
         """Apply all basic moves of an independent bundle atomically.
@@ -343,11 +341,11 @@ class RootedSpanningTree:
         return parts
 
     def _debug_check_order(self, cm: ComplexMove, token: _ComplexUndo) -> None:
-        expected = set(self._tree_edges)
+        expected = self.tree_edges
         for part in reversed(token.parts):
             self._undo_basic(part)
         reversed_parts = self._apply_sequence(list(reversed(cm.moves)))
-        if set(self._tree_edges) != expected:
+        if self.tree_edges != expected:
             raise AssertionError(
                 "complex move is order dependent despite passing the precheck"
             )
@@ -377,8 +375,6 @@ class RootedSpanningTree:
         for node, old_father, old_edge in reversed(token.reoriented):
             self._father_node[node] = old_father
             self._father_edge[node] = old_edge
-        self._tree_edges.discard(token.e_in)
-        self._tree_edges.add(token.e_out)
         self._bump()
 
     # -- simulation ----------------------------------------------------------
@@ -393,10 +389,10 @@ class RootedSpanningTree:
         e_in, e_out = move.e_in, move.e_out
         if not (0 <= e_in < self.graph.edge_count):
             raise InvalidMoveError(f"no such edge {e_in}")
-        if e_in in self._tree_edges:
+        u, v = self.graph.edges[e_in]
+        if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
             raise InvalidMoveError(f"edge {e_in} is already a tree edge")
         pos, path_edges, edge_pos, q, _ = self._path_index()
-        u, v = self.graph.endpoints(e_in)
         j = edge_pos.get(e_out)
         if j is None:
             # Removal off the induced path: the path stays as it is, but the
@@ -437,6 +433,12 @@ class RootedSpanningTree:
         self._path = None
         self._index = None
 
+    def _in_tree(self, e: int) -> bool:
+        """Whether the valid edge id ``e`` is a tree edge, i.e. the father
+        edge of one of its endpoints."""
+        u, v = self.graph.edges[e]
+        return self._father_edge[u] == e or self._father_edge[v] == e
+
     def _path_index(self):
         """Cached per revision: (pos, path_edges, edge_pos, q, preferred).
 
@@ -469,12 +471,10 @@ class RootedSpanningTree:
             for x in trail:
                 q[x] = hit
         preferred = []
-        endpoints = self.graph.edges
-        tree_edges = self._tree_edges
-        for e_in in range(self.graph.edge_count):
-            if e_in in tree_edges:
+        father_edge = self._father_edge
+        for e_in, (u, v) in enumerate(self.graph.edges):
+            if father_edge[u] == e_in or father_edge[v] == e_in:
                 continue
-            u, v = endpoints[e_in]
             a, b = q[u], q[v]
             if a == b:
                 continue
@@ -509,10 +509,6 @@ class RootedSpanningTree:
         """Check all spanning-tree invariants; raises AssertionError."""
         g = self.graph
         n = g.node_count
-        if len(self._tree_edges) != n - 1:
-            raise AssertionError(
-                f"{len(self._tree_edges)} tree edges, expected {n - 1}"
-            )
         used = set()
         for node in range(n):
             fe = self._father_edge[node]
@@ -521,8 +517,8 @@ class RootedSpanningTree:
                 if fe != -1 or fn != -1:
                     raise AssertionError("root must have no father")
                 continue
-            if fe not in self._tree_edges:
-                raise AssertionError(f"father edge of {node} not a tree edge")
+            if not (0 <= fe < g.edge_count):
+                raise AssertionError(f"node {node} has no father edge")
             if set(g.endpoints(fe)) != {node, fn}:
                 raise AssertionError(f"father edge of {node} has wrong endpoints")
             if fe in used:

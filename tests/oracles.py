@@ -167,3 +167,28 @@ def enumerate_optimum(g: Graph, commodities) -> int:
         if len(frozenset().union(*chosen)) == total:
             best = len(chosen)
     return best
+
+
+def extract_disjoint_reference(paths) -> list[int]:
+    """Quadratic extraction: every drop rescans every retained path's
+    overlap and drops the worst, the higher index on ties."""
+    path_sets = [set(p) for p in paths]
+    retained = set(range(len(paths)))
+    loads: dict[int, int] = {}
+    for i in retained:
+        for e in path_sets[i]:
+            loads[e] = loads.get(e, 0) + 1
+    while True:
+        worst_key = None
+        for i in retained:
+            overlap = sum(1 for e in path_sets[i] if loads[e] >= 2)
+            key = (overlap, i)
+            if worst_key is None or key > worst_key:
+                worst_key = key
+        if worst_key is None or worst_key[0] == 0:
+            break
+        drop = worst_key[1]
+        retained.remove(drop)
+        for e in path_sets[drop]:
+            loads[e] -= 1
+    return sorted(retained)

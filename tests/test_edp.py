@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeroute import (
     BenchmarkSpec,
@@ -74,6 +76,26 @@ def test_extract_disjoint_is_disjoint_deterministic_and_idempotent():
             assert kept == list(range(len(paths)))
         again = extract_disjoint([paths[i] for i in kept])
         assert [kept[j] for j in again] == kept
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 15), max_size=8), max_size=12))
+def test_extract_disjoint_matches_the_reference(paths):
+    assert extract_disjoint(paths) == oracles.extract_disjoint_reference(paths)
+
+
+@pytest.mark.parametrize("paths,kept", [
+    ([], []),
+    ([(0, 1, 2)] * 3, [0]),
+    ([(0, 0, 1), (1, 2)], [0]),
+    ([(3, 3), (4, 4, 5)], [0, 1]),
+    ([(0, 1), (1, 2), (2, 0)], [0]),
+    ([(0, 1), (2,), (3, 4)], [0, 1, 2]),
+], ids=["empty", "identical", "repeated-edge", "repeated-edge-alone",
+        "all-tied", "disjoint"])
+def test_extract_disjoint_cases(paths, kept):
+    assert extract_disjoint(paths) == kept
+    assert oracles.extract_disjoint_reference(paths) == kept
 
 
 def test_greedy_complete_keeps_every_kept_path():

@@ -140,6 +140,25 @@ class TestEdgeSets:
             tree.fundamental_cycle(0)
 
 
+@pytest.mark.parametrize("which", ["-1", "-edge_count", "edge_count"])
+def test_out_of_range_inserted_edge_rejected(which):
+    g = generate_mesh(3, 3)
+    e_in = {"-1": -1, "-edge_count": -g.edge_count,
+            "edge_count": g.edge_count}[which]
+    tree = RootedSpanningTree.random_tree(g, 0, 8, rng=0)
+    e_out = tree.induced_path()[0]
+    before = tree_state(tree)
+    with pytest.raises(InvalidMoveError):
+        tree.fundamental_cycle(e_in)
+    with pytest.raises(InvalidMoveError):
+        tree.apply(BasicMove(e_in, e_out))
+    with pytest.raises(InvalidMoveError):
+        tree.simulate_path(BasicMove(e_in, e_out))
+    with pytest.raises(InvalidMoveError):
+        tree.independent([BasicMove(e_in, e_out)])
+    assert tree_state(tree) == before
+
+
 class TestPreferredSets:
     def test_triangle_source_zero(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
