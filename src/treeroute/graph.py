@@ -53,14 +53,13 @@ class Commodity:
 class Graph:
     """Undirected simple connected graph with dense edge ids.
 
-    ``adjacency[u]`` lists the ids of the edges at ``u`` in input order;
-    ``neighbors[u]`` pairs each of them with its other end, for the
-    breadth-first loops.  Immutable after construction; safe to share
+    ``neighbors[u]`` pairs the id of each edge at ``u``, in input order,
+    with its other end.  Immutable after construction; safe to share
     across threads.
     """
 
     __slots__ = ("node_count", "edges", "weights", "weight_scales",
-                 "adjacency", "neighbors", "_edge_ids")
+                 "neighbors", "_edge_ids")
 
     def __init__(
         self,
@@ -74,7 +73,6 @@ class Graph:
         self.node_count = node_count
         edge_list: list[tuple[int, int]] = []
         edge_ids: dict[tuple[int, int], int] = {}
-        adjacency: list[list[int]] = [[] for _ in range(node_count)]
         neighbors: list[list[tuple[int, int]]] = [[] for _ in range(node_count)]
         for eid, (u, v) in enumerate(edges):
             if not (0 <= u < node_count and 0 <= v < node_count):
@@ -90,15 +88,10 @@ class Graph:
                 )
             edge_ids[key] = eid
             edge_list.append((u, v))
-            adjacency[u].append(eid)
-            adjacency[v].append(eid)
             neighbors[u].append((eid, v))
             neighbors[v].append((eid, u))
         self.edges: tuple[tuple[int, int], ...] = tuple(edge_list)
         self._edge_ids = edge_ids
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(a) for a in adjacency
-        )
         self.neighbors: tuple[tuple[tuple[int, int], ...], ...] = tuple(
             tuple(a) for a in neighbors
         )
@@ -131,8 +124,7 @@ class Graph:
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for eid in self.adjacency[u]:
-                w = self.other_end(eid, u)
+            for _, w in self.neighbors[u]:
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)

@@ -102,13 +102,6 @@ class Differentiable:
         aim diversification at; [] when the differentiable cannot tell."""
         return []
 
-    def sample_conflict_pair(
-        self, rng
-    ) -> tuple[RootedSpanningTree, RootedSpanningTree] | None:
-        """Two distinct trees in conflict with each other, or None when the
-        differentiable cannot tell (then it draws nothing from ``rng``)."""
-        return None
-
     # -- composition sugar ----------------------------------------------------
 
     def __add__(self, other):
@@ -285,21 +278,6 @@ class PathEdgeDisjoint(Differentiable):
             tree for i, tree in enumerate(self.trees)
             if any(counts[e] >= 2 for e in self._cached_paths[i])
         ]
-
-    def sample_conflict_pair(
-        self, rng
-    ) -> tuple[RootedSpanningTree, RootedSpanningTree] | None:
-        """Two distinct trees sharing one random overloaded edge, or None."""
-        self._refresh()
-        loaded = [e for e, c in enumerate(self.loads.counts) if c >= 2]
-        if not loaded:
-            return None
-        edge = rng.choice(loaded)
-        users = [i for i, s in enumerate(self._cached_sets) if edge in s]
-        if len(users) < 2:
-            return None
-        a, b = rng.sample(users, 2)
-        return self.trees[a], self.trees[b]
 
 
 _OPS = {

@@ -1,26 +1,29 @@
 """First-improvement local search over tree variables.
 
 The engine minimizes one guiding differentiable (typically a violation
-count) over the tree variables it registers.  Each iteration tries the
-move kinds in this fixed order and accepts the first strictly improving
-move it finds:
-
-* ``one-move``   - a single edge replacement on one tree,
-* ``two-move``   - a pair of independent edge replacements on one tree,
-* ``pair-move``  - one edge replacement on each of two different trees,
-  evaluated jointly.
+count) over the tree variables it registers, with one move kind: the
+*one-move*, a single edge replacement on one tree.  Each iteration scans
+the trees in a random order and accepts the first strictly improving
+one-move it finds.
 
 Moves are always drawn from the preferred sets, so every accepted move
-changes at least one induced path.  When all three kinds fail for
-``STALL_ITERATIONS`` consecutive iterations the engine diversifies,
-alternating between a small random perturbation of the conflicted trees
-and a re-initialization of them.
+changes at least one induced path.  A failed scan is exhaustive (every
+removal for one inserted edge gives the same new path, so one delta per
+inserted edge covers them all), which means the trees sit at a one-move
+local minimum; the engine then kicks at once, alternating between a
+small random perturbation of the conflicted trees and a
+re-initialization of them.
+
+:func:`explore_two_move` (two independent replacements on one tree) and
+:func:`explore_pair_move` (one replacement on each of two trees,
+evaluated jointly) are library neighbourhoods; :func:`run` does not use
+them.
 
 Runs are deterministic for a fixed seed.  With ``iter_cap`` set the
 wall clock is ignored and trace timestamps are iteration numbers, which
 makes two runs of the same configuration byte-identical; otherwise the
-run stops after ``time_limit_s`` seconds on a monotonic clock and
-timestamps are seconds.
+run stops after ``time_limit_s`` seconds on a monotonic clock, checked
+before every tree's scan, and timestamps are seconds.
 """
 
 from __future__ import annotations
@@ -34,14 +37,11 @@ from typing import Callable
 from .objectives import Differentiable
 from .treevar import BasicMove, ComplexMove, RootedSpanningTree
 
-# Failed iterations in a row before a diversification step.
-STALL_ITERATIONS = 5
 # Iterations between two "interval" callbacks.
 EVAL_INTERVAL = 1000
 # Sampled bundles per tree in a two-move search.
 TWO_MOVE_SAMPLES = 20
-# Tree pairs per pair-move search, and sampled move pairs per tree pair.
-PAIR_MOVE_PAIRS = 20
+# Sampled move pairs per pair-move search.
 PAIR_MOVE_SAMPLES = 30
 # Random basic moves per tree in a perturbation.
 PERTURBATION_MOVES = 3
@@ -147,7 +147,9 @@ def explore_two_move(
     samples: int = TWO_MOVE_SAMPLES,
 ) -> ComplexMove | None:
     """Sampled search for an improving pair of independent basic moves on
-    one tree; returns the first strict joint improvement, or None."""
+    one tree; returns the first strict joint improvement, or None.
+
+    A library neighbourhood: :func:`run` does not use it."""
     preferred = tree.preferred_moves()
     if len(preferred) < 2:
         return None
@@ -172,7 +174,9 @@ def explore_pair_move(
     samples: int = PAIR_MOVE_SAMPLES,
 ) -> tuple[BasicMove, BasicMove] | None:
     """Sampled search for a jointly improving pair of basic moves on two
-    different trees, evaluated with the joint delta."""
+    different trees, evaluated with the joint delta.
+
+    A library neighbourhood: :func:`run` does not use it."""
     if tree_a is tree_b:
         raise ValueError("pair moves need two distinct trees")
     prefs_a = tree_a.preferred_moves()
@@ -248,6 +252,11 @@ def run(
     """Minimize ``objective`` over the trees it registers; returns the
     trace.
 
+    Under ``iter_cap`` every iteration records exactly one event: the
+    accepted one-move, or the kick that follows a failed scan.  In
+    budget mode the last iteration may end without either, when the
+    time runs out between two trees.
+
     The trees are left in their final (not necessarily best) state;
     callers that need the best solution must record it from the
     callback, as ``edp.solve_ls`` records its routing.
@@ -261,10 +270,8 @@ def run(
     def clock() -> float:
         return float(iteration) if capped else time.monotonic() - start
 
-    def out_of_budget() -> bool:
-        if capped:
-            return iteration >= cfg.iter_cap
-        return time.monotonic() - start >= cfg.time_limit_s
+    def time_up() -> bool:
+        return not capped and time.monotonic() - start >= cfg.time_limit_s
 
     trace = SearchTrace(clock="iterations" if capped else "seconds")
     value = objective.value()
@@ -272,80 +279,37 @@ def run(
     if callback is not None:
         callback("initial", 0, value, clock())
 
-    stall = 0
-    stall_events = 0
-    # A failed exhaustive one-move scan of a tree stays failed until some
-    # tree changes (versions only grow, so the version sum identifies the
-    # joint state); remembering that avoids rescanning on stalls.
-    scan_failed_at: dict[int, int] = {}
-
-    while not out_of_budget():
+    kicks = 0
+    while not (iteration >= cfg.iter_cap if capped else time_up()):
         iteration += 1
-        accepted = None
-
         order = list(trees)
         rng.shuffle(order)
-        stamp = sum(t.version for t in trees)
         for tree in order:
-            if scan_failed_at.get(id(tree)) == stamp:
-                continue
+            if time_up():
+                break
             move = explore_one_move(tree, objective, rng)
             if move is not None:
                 tree.apply(move)
                 objective.commit()
-                accepted = "one-move"
-                break
-            scan_failed_at[id(tree)] = stamp
-
-        if accepted is None:
-            order = objective.conflicted_trees() or list(trees)
-            rng.shuffle(order)
-            for tree in order:
-                cm = explore_two_move(tree, objective, rng)
-                if cm is not None:
-                    tree.apply_complex(cm)
-                    objective.commit()
-                    accepted = "two-move"
-                    break
-
-        if accepted is None and len(trees) >= 2:
-            # Aim at trees that actually share an overloaded edge when
-            # the objective can point them out; random pairs otherwise.
-            for _ in range(PAIR_MOVE_PAIRS):
-                tree_a, tree_b = (objective.sample_conflict_pair(rng)
-                                  or rng.sample(trees, 2))
-                found = explore_pair_move(tree_a, tree_b, objective, rng)
-                if found is not None:
-                    tree_a.apply(found[0])
-                    objective.commit()
-                    tree_b.apply(found[1])
-                    objective.commit()
-                    accepted = "pair-move"
-                    break
-
-        if accepted:
-            stall = 0
-            value = objective.value()
-            trace.events.append((clock(), f"accept:{accepted}", value))
-            if value < trace.best_value:
-                trace.improvements.append((clock(), value))
-                if callback is not None:
-                    callback("improvement", iteration, value, clock())
-        else:
-            stall += 1
-            if stall >= STALL_ITERATIONS:
-                stall = 0
-                stall_events += 1
-                if stall_events % 2 == 1:
-                    _perturb(objective, rng)
-                    event = "perturbation"
-                else:
-                    _restart_conflicted(objective, rng)
-                    event = "restart"
                 value = objective.value()
-                trace.events.append((clock(), event, value))
-                if callback is not None:
-                    callback(event, iteration, value, clock())
+                trace.events.append((clock(), "accept:one-move", value))
+                if value < trace.best_value:
+                    trace.improvements.append((clock(), value))
+                    if callback is not None:
+                        callback("improvement", iteration, value, clock())
+                break
+        else:  # the scan was exhaustive: a one-move local minimum
+            kicks += 1
+            if kicks % 2 == 1:
+                _perturb(objective, rng)
+                event = "perturbation"
+            else:
+                _restart_conflicted(objective, rng)
+                event = "restart"
+            value = objective.value()
+            trace.events.append((clock(), event, value))
+            if callback is not None:
+                callback(event, iteration, value, clock())
 
         if callback is not None and iteration % EVAL_INTERVAL == 0:
             callback("interval", iteration, value, clock())

@@ -23,9 +23,11 @@ Terminology used throughout:
 Complex moves bundle pairwise independent basic moves; independence is
 prechecked by requiring pairwise edge-disjoint fundamental cycles (each
 removed edge inside its own cycle), which makes the application order
-irrelevant.  Setting :data:`DEBUG_CHECKS` additionally re-verifies order
-independence and full tree invariants after every mutation; the test
-suite runs with it enabled.
+irrelevant.  The search engine accepts only basic moves; complex moves
+serve the library neighbourhood ``search.explore_two_move``.  Setting
+:data:`DEBUG_CHECKS` additionally re-verifies order independence and
+full tree invariants after every mutation; the test suite runs with it
+enabled.
 """
 
 from __future__ import annotations
@@ -145,10 +147,9 @@ class RootedSpanningTree:
         stack = [root]
         while stack:
             u = stack.pop()
-            for eid in graph.adjacency[u]:
+            for eid, w in graph.neighbors[u]:
                 if eid not in edge_set:
                     continue
-                w = graph.other_end(eid, u)
                 if not seen[w]:
                     seen[w] = True
                     father_node[w] = u

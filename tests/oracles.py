@@ -32,10 +32,9 @@ def bfs_distance(g: Graph, s: int, t: int, forbidden=frozenset()) -> int | None:
         u = queue.popleft()
         if u == t:
             return dist[u]
-        for eid in g.adjacency[u]:
+        for eid, w in g.neighbors[u]:
             if eid in forbidden:
                 continue
-            w = g.other_end(eid, u)
             if w not in dist:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -60,10 +59,9 @@ def path_from_tree(g: Graph, tree_edges, s: int, t: int) -> tuple[int, ...]:
     edge_set = set(tree_edges)
     while queue:
         u = queue.popleft()
-        for eid in g.adjacency[u]:
+        for eid, w in g.neighbors[u]:
             if eid not in edge_set:
                 continue
-            w = g.other_end(eid, u)
             if w not in parent:
                 parent[w] = eid
                 queue.append(w)

@@ -3,9 +3,11 @@
 Each digest covers everything a capped run decides (the solution dump
 or final tree, every new best and every search event), so any change to
 move order, rng use or a delta shows up here.  The LS and PathCost
-digests were recorded on the code before the model-layer collapse, the
-MSGA digests before the search-layer collapse, the bench digest before
-the application-layer collapse; they must stay as they are.
+digests were recorded when the search became a one-move descent that
+kicks after one failed scan (a deliberate change of decisions and of
+the rng stream), the MSGA digests before the search-layer collapse, the
+bench digest before the application-layer collapse; refactors must
+leave them as they are.
 """
 
 import hashlib
@@ -39,17 +41,17 @@ def _digest(head: str, trace) -> str:
 
 LS_GOLDEN = {
     ("mesh:6x6", "0.25", 0):
-        "7d29681829aae865bf7711b43ddd4a0c2bfb9bc474fca266c349ca2d1c84e188",
+        "1e5629049f2e602f789868239bdcd8336fd81d6a2b20109dfb35478814f9b05e",
     ("mesh:6x6", "0.25", 1):
-        "013b88296029e3c85a8bbb6a5b5cdc69596e266b3f9bf155e1640d093bf9d14d",
+        "4a1a1ced976fcda8652cdb1806fd5d80fbc40d01218aaa31ba4dc0bce175727e",
     ("mesh:6x6", "0.25", 2):
-        "41a5368cd18a4a00518391982db426bb5a149e103e9bba12c57b1f5b0828fbf1",
+        "5019784d54cf1f12a6540d9789082fb46a062a2554a5457e00baae0ca0014fd3",
     ("mesh:10x10", "0.40", 0):
-        "1e9fc61394f0d23702f1ac791f8fba995a6a6a523899f1b125a3de58db67dd51",
+        "4aafc94dacd95fc1a33a007855268d527c06d7d672a2c8b5f1966400ecfbb390",
     ("mesh:10x10", "0.40", 1):
-        "bcadd0e5ee8e17fc887ec81262103f4d90f31f0bff32921eb339fc94e9e3ca29",
+        "5925682b4744987cc84bd2c21f347ce4294c246711d3e8d82cbfb3aebeddcc80",
     ("mesh:10x10", "0.40", 2):
-        "4998bdaa78925bb4654781fa5623d0e3aa4fb8d3f534accbebbc6a3df19aa6de",
+        "4d72430c97ca561072db6fb0d3b75e6ad46e502d2088348656f0979c47621e83",
 }
 
 # sha256 of dump + improvements only: MSGA records no search events.
@@ -60,7 +62,7 @@ MSGA_GOLDEN = {
 }
 
 PATH_COST_GOLDEN = (
-    "0f8ae43661ce0439831ccc77a709d18f488a8563c5ac817a7e4432a2973bd7b8")
+    "9c0b04bdde723cccd5b888d71026cec08f3512d8f5ac47a2126ee00e8bbfc6c2")
 
 # sha256 of the raw CSV followed by the aggregate CSV.
 BENCH_GOLDEN = (
@@ -90,7 +92,7 @@ def test_capped_msga_digest(seed):
 
 def test_capped_path_cost_run_digest():
     # The cheapest 0-23 path costs 4, so the budget of 3 is never met and
-    # the run goes through stalls, perturbations and restarts as well.
+    # the run goes through perturbations and restarts as well.
     rng = random.Random(1)
     g = oracles.random_connected_graph(rng, 24, 40)
     tree = RootedSpanningTree.random_tree(g, 0, 23, 11)

@@ -2,7 +2,10 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import treeroute.search as search
 from treeroute import (
     BasicMove,
     ComplexMove,
@@ -97,6 +100,37 @@ class TestExploreOneMove:
         cost = PathCost(tree, 0)
         assert cost.value() == best_cost
         assert explore_one_move(tree, cost) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["edp", "cost"]))
+def test_failed_one_move_scan_is_exhaustive(seed, kind):
+    # run() kicks after one failed scan, which is sound only if the scan
+    # misses no improving move although it evaluates one removal per
+    # inserted edge.
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 9), rng.randint(1, 8))
+    trees = [oracles.random_tree_variable(rng, g)
+             for _ in range(3 if kind == "edp" else 1)]
+    for tree in trees:
+        for _ in range(rng.randint(0, 4)):
+            move = oracles.random_valid_move(rng, tree)
+            if move is not None:
+                tree.apply(BasicMove(*move))
+    if kind == "edp":
+        objective = PathEdgeDisjoint(trees)
+    else:
+        objective = compare(PathCost(trees[0], 0), "<=", rng.randint(0, 12))
+    for tree in trees:
+        for e_in, outs in tree.preferred_moves():
+            paths = {tree.simulate_path(BasicMove(e_in, e_out)) for e_out in outs}
+            assert len(paths) == 1
+        delta = objective.move_delta_fn(tree)
+        improving = any(delta(m) < 0 for m in all_preferred_moves(tree))
+        found = explore_one_move(tree, objective, random.Random(seed))
+        assert (found is not None) == improving
+        if found is not None:
+            assert delta(found) < 0
 
 
 class TestExploreTwoMove:
@@ -202,15 +236,39 @@ class TestRun:
             else:
                 last = None  # perturbation/restart breaks the monotone run
 
-    def test_portfolio_order_prefers_one_move(self):
-        # an improving single move exists, so the first accepted move of a
-        # run must come from the one-move phase
-        objective = small_model(1, k=5)
-        assert objective.value() > 0
-        assert any(explore_one_move(t, objective) for t in objective.trees)
-        trace = run(objective, SearchConfig(iter_cap=50, seed=4))
-        accepts = [kind for _, kind, _ in trace.events if kind.startswith("accept:")]
-        assert accepts and accepts[0] == "accept:one-move"
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_capped_iteration_records_one_event(self, seed):
+        trace = run(small_model(seed, k=6), SearchConfig(iter_cap=150, seed=seed))
+        kinds = [kind for _, kind, _ in trace.events]
+        assert len(kinds) == trace.iterations == 150
+        assert set(kinds) <= {"accept:one-move", "perturbation", "restart"}
+        kicks = [kind for kind in kinds if kind != "accept:one-move"]
+        assert kicks
+        assert kicks == [("perturbation", "restart")[i % 2] for i in range(len(kicks))]
+
+    @pytest.mark.parametrize("make", [
+        lambda: small_model(2, k=6),
+        lambda: compare(PathCost(RootedSpanningTree.random_tree(
+            generate_mesh(4, 4), 0, 15, 3), 0), "<=", 5),
+    ], ids=["edp", "path-cost"])
+    def test_kicks_start_only_at_a_one_move_local_minimum(self, make, monkeypatch):
+        objective = make()
+        kicks = []
+
+        def checked(kick):
+            def at_minimum(obj, rng):
+                for tree in obj.trees:
+                    delta = obj.move_delta_fn(tree)
+                    assert all(delta(m) >= 0 for m in all_preferred_moves(tree))
+                kicks.append(kick.__name__)
+                kick(obj, rng)
+            return at_minimum
+
+        monkeypatch.setattr(search, "_perturb", checked(search._perturb))
+        monkeypatch.setattr(search, "_restart_conflicted",
+                            checked(search._restart_conflicted))
+        run(objective, SearchConfig(iter_cap=100, seed=1))
+        assert "_perturb" in kicks and "_restart_conflicted" in kicks
 
     def test_trace_csv_shape(self):
         trace = run(small_model(9), SearchConfig(iter_cap=50, seed=0))
@@ -228,6 +286,27 @@ class TestRun:
         start = time.monotonic()
         run(small_model(13), SearchConfig(time_limit_s=0.3, seed=0))
         assert time.monotonic() - start < 3.0
+
+    def test_no_scan_starts_after_the_time_limit(self, monkeypatch):
+        # Four row commodities on a 4x4 mesh have disjoint shortest paths,
+        # so every scan fails; each one takes 0.4 s on a fake clock.
+        g = generate_mesh(4, 4)
+        objective = PathEdgeDisjoint([
+            RootedSpanningTree.random_tree(g, 4 * r, 4 * r + 3, r) for r in range(4)])
+        assert objective.value() == 0
+        now = [100.0]
+        scan_starts = []
+
+        def slow_scan(tree, obj, rng=None):
+            scan_starts.append(now[0] - 100.0)
+            now[0] += 0.4
+            return explore_one_move(tree, obj, rng)
+
+        monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+        monkeypatch.setattr(search, "explore_one_move", slow_scan)
+        trace = run(objective, SearchConfig(time_limit_s=1.0, seed=0))
+        assert scan_starts and max(scan_starts) < 1.0
+        assert trace.iterations == 1 and trace.events == []
 
     def test_moves_come_from_preferred_sets_and_change_paths(self):
         # every accepted move changes at least one induced path: the path
