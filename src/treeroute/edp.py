@@ -170,7 +170,12 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     ``search.EVAL_INTERVAL`` iterations, and the first one with the most
     routed commodities is returned.  The trees are left in their final
     search state, not the one that gave the best routing.
+
+    In budget mode the clock starts on entry, so building the model
+    counts against ``time_limit_s``, and trace times and ``best_time``
+    count from entry, as in :func:`solve_msga`.
     """
+    started = time.monotonic()
     constraint = build_model(inst, cfg.seed)
     best: EdpSolution | None = None
 
@@ -183,7 +188,7 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
         if best is None or len(routed) > best.objective:
             best = EdpSolution(routed, constraint.value(), clock)
 
-    trace = run(constraint, cfg, callback)
+    trace = run(constraint, cfg, callback, started)
     assert best is not None  # the initial callback always runs
     return best, trace
 

@@ -23,7 +23,10 @@ Runs are deterministic for a fixed seed.  With ``iter_cap`` set the
 wall clock is ignored and trace timestamps are iteration numbers, which
 makes two runs of the same configuration byte-identical; otherwise the
 run stops after ``time_limit_s`` seconds on a monotonic clock, checked
-before every tree's scan, and timestamps are seconds.
+before every tree's scan, and timestamps are seconds.  The budget clock
+starts at the ``started`` time the caller hands to :func:`run`, or at
+the call of :func:`run` when none is given; ``edp.solve_ls`` hands over
+its own entry time, so building the model is charged to the budget.
 """
 
 from __future__ import annotations
@@ -248,6 +251,7 @@ def run(
     objective: Differentiable,
     cfg: SearchConfig,
     callback: Callback | None = None,
+    started: float | None = None,
 ) -> SearchTrace:
     """Minimize ``objective`` over the trees it registers; returns the
     trace.
@@ -257,13 +261,23 @@ def run(
     budget mode the last iteration may end without either, when the
     time runs out between two trees.
 
+    In budget mode the clock counts from ``started``, a
+    ``time.monotonic()`` reading taken by the caller (default: the call
+    of ``run``): trace times are measured from it, and no scan starts
+    once ``time_limit_s`` has passed since it, so a budget already spent
+    yields only the initial record.  A scan that starts just before the
+    limit and finds a new best still calls the improvement callback,
+    which therefore ends past the limit by its own cost (in
+    ``edp.solve_ls``, one extraction and completion).  Under
+    ``iter_cap`` ``started`` is ignored.
+
     The trees are left in their final (not necessarily best) state;
     callers that need the best solution must record it from the
     callback, as ``edp.solve_ls`` records its routing.
     """
     trees = objective.trees
     rng = random.Random(cfg.seed)
-    start = time.monotonic()
+    start = time.monotonic() if started is None else started
     iteration = 0
     capped = cfg.iter_cap is not None
 

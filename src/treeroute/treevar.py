@@ -33,7 +33,6 @@ enabled.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -127,7 +126,9 @@ class RootedSpanningTree:
 
         Breadth-first growth makes every father chain hop-minimal, so the
         variable starts on a (randomly chosen) shortest induced path;
-        search moves then only lengthen it when that pays off."""
+        search moves then only lengthen it when that pays off.  For a
+        ``random.Random`` the draws are those of ``random.shuffle`` (see
+        :meth:`_random_fathers`)."""
         father_node, father_edge = cls._random_fathers(graph, root, _as_rng(rng))
         return cls(graph, source, root, father_node, father_edge)
 
@@ -162,15 +163,36 @@ class RootedSpanningTree:
     @staticmethod
     def _random_fathers(graph: Graph, root: int,
                         rng: random.Random) -> tuple[list[int], list[int]]:
+        """Father lists of a breadth-first tree from ``root`` that visits
+        each node's incidences in a random order.
+
+        The order comes from CPython's Fisher-Yates shuffle written out
+        inline (``random.shuffle`` costs a Python call per swap): for
+        ``i`` from the last index down to 1, swap with ``j`` drawn by
+        ``getrandbits`` of ``(i + 1).bit_length()`` bits and redrawn
+        while ``j > i``.  For ``random.Random`` these are exactly the
+        draws ``random.shuffle`` makes, so the trees and the rng state
+        afterwards are the ones a shuffle per node would give; a
+        subclass that overrides ``random()`` but not ``getrandbits()``
+        would draw differently, since its shuffle uses ``random()``.
+        ``tests/test_treevar.py`` pins the equality against
+        ``random.shuffle``.
+        """
+        neighbors = graph.neighbors
+        getrandbits = rng.getrandbits
         father_node = [-1] * graph.node_count
         father_edge = [-1] * graph.node_count
         seen = [False] * graph.node_count
         seen[root] = True
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            incident = list(graph.neighbors[u])
-            rng.shuffle(incident)
+        queue = [root]
+        for u in queue:
+            incident = list(neighbors[u])
+            for i in range(len(incident) - 1, 0, -1):
+                bits = (i + 1).bit_length()
+                j = getrandbits(bits)
+                while j > i:
+                    j = getrandbits(bits)
+                incident[i], incident[j] = incident[j], incident[i]
             for eid, w in incident:
                 if not seen[w]:
                     seen[w] = True

@@ -190,3 +190,25 @@ def extract_disjoint_reference(paths) -> list[int]:
         for e in path_sets[drop]:
             loads[e] -= 1
     return sorted(retained)
+
+
+def random_fathers_reference(g: Graph, root: int, rng: random.Random):
+    """Breadth-first random spanning tree as father lists, shuffling each
+    node's incidences with ``random.shuffle``: the draws the package's
+    tree construction must reproduce."""
+    father_node = [-1] * g.node_count
+    father_edge = [-1] * g.node_count
+    seen = [False] * g.node_count
+    seen[root] = True
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        incident = list(g.neighbors[u])
+        rng.shuffle(incident)
+        for eid, w in incident:
+            if not seen[w]:
+                seen[w] = True
+                father_node[w] = u
+                father_edge[w] = eid
+                queue.append(w)
+    return father_node, father_edge

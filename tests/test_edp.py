@@ -21,6 +21,9 @@ from treeroute import (
 )
 
 import oracles
+import treeroute.edp as edp
+import treeroute.search as search
+from treeroute.generators import generate_mesh
 
 
 def random_instances(seed, count):
@@ -62,6 +65,49 @@ def test_msga_without_passes_routes_nothing():
     assert verify_dump(solution_to_dump(solution, inst), inst) == []
     assert trace.improvements == []
     assert (trace.best_value, trace.best_time) == (0, 0.0)
+
+
+def slow_build_solve(monkeypatch, build_s, scan_s=0.25):
+    """Budget-mode ``solve_ls`` with a 1.0 s limit on a fake clock where
+    building the model takes ``build_s`` and every one-move scan
+    ``scan_s``; returns the instance, the result and the scan start
+    times counted from solve entry."""
+    g = generate_mesh(6, 6)
+    inst = EdpInstance(g, tuple(generate_commodities(g, 9, 0)))
+    now = [100.0]
+    scan_starts = []
+    build = edp.build_model
+    scan = search.explore_one_move
+
+    def slow_build(inst, seed):
+        now[0] += build_s
+        return build(inst, seed)
+
+    def slow_scan(tree, objective, rng=None):
+        scan_starts.append(now[0] - 100.0)
+        now[0] += scan_s
+        return scan(tree, objective, rng)
+
+    monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
+    monkeypatch.setattr(edp, "build_model", slow_build)
+    monkeypatch.setattr(search, "explore_one_move", slow_scan)
+    solution, trace = solve_ls(inst, SearchConfig(time_limit_s=1.0, seed=0))
+    assert verify_dump(solution_to_dump(solution, inst), inst) == []
+    return inst, solution, trace, scan_starts
+
+
+def test_model_building_counts_against_the_budget(monkeypatch):
+    _, _, trace, scan_starts = slow_build_solve(monkeypatch, build_s=0.6)
+    assert scan_starts and max(scan_starts) < 1.0
+    assert trace.improvements[0][0] == pytest.approx(0.6)
+
+
+def test_a_build_that_spends_the_budget_returns_the_initial_extraction(monkeypatch):
+    inst, solution, trace, scan_starts = slow_build_solve(monkeypatch, build_s=1.0)
+    assert trace.iterations == 0 and scan_starts == []
+    paths = [t.induced_path() for t in edp.build_model(inst, 0).trees]
+    assert solution.routed == edp.evaluate_assignment(inst.graph, inst.commodities, paths)
+    assert solution.best_time == trace.best_time == pytest.approx(1.0)
 
 
 def test_extract_disjoint_is_disjoint_deterministic_and_idempotent():

@@ -6,7 +6,8 @@ move order, rng use or a delta shows up here.  The LS and PathCost
 digests were recorded when the search became a one-move descent that
 kicks after one failed scan (a deliberate change of decisions and of
 the rng stream), the MSGA digests before the search-layer collapse, the
-bench digest before the application-layer collapse; refactors must
+bench digest before the application-layer collapse, the model digest
+while trees were still drawn with ``random.shuffle``; refactors must
 leave them as they are.
 """
 
@@ -30,6 +31,7 @@ from treeroute import (
     solve_msga,
 )
 from treeroute.bench import commodity_count, resolve_graph
+from treeroute.edp import build_model
 
 import oracles
 
@@ -64,6 +66,11 @@ MSGA_GOLDEN = {
 PATH_COST_GOLDEN = (
     "9c0b04bdde723cccd5b888d71026cec08f3512d8f5ac47a2126ee00e8bbfc6c2")
 
+# sha256 of every tree's father node and father edge lists, in commodity
+# order, for the model of the ls-mesh25-dense benchmark cell.
+MODEL_GOLDEN = (
+    "516f5f460dfc383da650e38565e6778a1e4627c6f12713bab98203706eeee747")
+
 # sha256 of the raw CSV followed by the aggregate CSV.
 BENCH_GOLDEN = (
     "1138c22b724e4711f787bc5202ce551d8988672bdfef70a361c8728814385faf")
@@ -88,6 +95,18 @@ def test_capped_msga_digest(seed):
     assert trace.events == []
     text = solution_to_dump(solution, inst) + repr(trace.improvements)
     assert hashlib.sha256(text.encode()).hexdigest() == MSGA_GOLDEN[seed]
+
+
+def test_benchmark_scale_model_digest():
+    # mesh 25x25 at ratio 0.40 with seed 0: 250 trees, 156,250 shuffled
+    # incidence lists drawn from one rng.
+    _, g = resolve_graph("mesh:25x25")
+    k = commodity_count("0.40", g.node_count)
+    inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
+    trees = build_model(inst, 0).trees
+    assert len(trees) == 250
+    text = repr([(t._father_node, t._father_edge) for t in trees])
+    assert hashlib.sha256(text.encode()).hexdigest() == MODEL_GOLDEN
 
 
 def test_capped_path_cost_run_digest():

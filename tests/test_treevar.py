@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeroute import (
     BasicMove,
@@ -9,7 +11,7 @@ from treeroute import (
     RootedSpanningTree,
     load_graph,
 )
-from treeroute.generators import generate_mesh
+from treeroute.generators import generate_mesh, generate_random_connected
 
 import oracles
 
@@ -70,6 +72,41 @@ class TestInit:
     def test_from_edges_must_span(self, triangle):
         with pytest.raises(ValueError):
             RootedSpanningTree.from_edges(triangle, 0, 2, [0])
+
+
+@st.composite
+def graph_root_seed(draw):
+    """A mesh, or a random connected graph from a spanning tree (degrees
+    from 1) up to a complete graph (degree n - 1, far above 5), with a
+    root and an rng seed."""
+    if draw(st.booleans()):
+        g = generate_mesh(draw(st.integers(2, 9)), draw(st.integers(2, 9)))
+    else:
+        n = draw(st.integers(2, 30))
+        m = draw(st.integers(n - 1, n * (n - 1) // 2))
+        g = generate_random_connected(n, m, draw(st.integers(0, 2 ** 16)))
+    return g, draw(st.integers(0, g.node_count - 1)), draw(st.integers(0, 2 ** 64))
+
+
+@settings(max_examples=300, deadline=None)
+@given(graph_root_seed())
+def test_random_trees_draw_as_random_shuffle(case):
+    # The tree construction inlines CPython's Fisher-Yates shuffle; it
+    # must give the trees and leave the rng state that random.shuffle
+    # does, for random_tree and for reinit_random (the restarts).
+    g, root, seed = case
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+
+    def check(tree):
+        fathers = ([tree.father_of(v) for v in range(g.node_count)],
+                   [tree.father_edge_of(v) for v in range(g.node_count)])
+        assert fathers == oracles.random_fathers_reference(g, root, ref_rng)
+        assert rng.getstate() == ref_rng.getstate()
+
+    tree = RootedSpanningTree.random_tree(g, (root + 1) % g.node_count, root, rng)
+    check(tree)
+    tree.reinit_random(rng)
+    check(tree)
 
 
 class TestInducedPath:
