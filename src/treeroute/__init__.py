@@ -28,7 +28,6 @@ from .treevar import (
 )
 from .objectives import (
     Differentiable,
-    EdgeLoadMap,
     PathCost,
     PathEdgeDisjoint,
     combine,
@@ -76,7 +75,6 @@ __all__ = [
     "Commodity",
     "ComplexMove",
     "Differentiable",
-    "EdgeLoadMap",
     "EdpInstance",
     "EdpSolution",
     "Graph",

@@ -213,7 +213,7 @@ def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, Searc
             return passes >= cfg.iter_cap
         return passes > 0 and time.monotonic() - start >= cfg.time_limit_s
 
-    trace = SearchTrace(clock="iterations" if capped else "seconds")
+    trace = SearchTrace()
     best_routed: dict[int, tuple[int, ...]] = {}
     while not out_of_budget():
         passes += 1
@@ -261,6 +261,7 @@ def verify_dump(text: str, inst: EdpInstance) -> list[str]:
     seen_indices: set[int] = set()
     used_edges: set[int] = set()
     path_lines = 0
+    summary_seen = False
     stated_objective: int | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -268,17 +269,21 @@ def verify_dump(text: str, inst: EdpInstance) -> list[str]:
         if not line or line.startswith("#"):
             continue
         if line.startswith("objective="):
+            if summary_seen:
+                problems.append(f"line {lineno}: repeated summary line")
+                continue
+            summary_seen = True
             try:
                 fields = dict(part.split("=", 1) for part in line.split(", "))
                 stated_objective = int(fields["objective"])
             except (ValueError, KeyError):
                 problems.append(f"line {lineno}: bad summary line")
             continue
-        if ":" not in line:
+        head, colon, tail = line.partition(":")
+        head_tokens = head.split()
+        if not colon or len(head_tokens) != 4:
             problems.append(f"line {lineno}: expected 'i s t hops : nodes'")
             continue
-        head, _, tail = line.partition(":")
-        head_tokens = head.split()
         try:
             i, s, t, hops = (int(tok) for tok in head_tokens)
             nodes = [int(tok) for tok in tail.split()]

@@ -144,9 +144,6 @@ class Graph:
     def weight_count(self) -> int:
         return len(self.weight_scales)
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        return self.edges[eid]
-
     def other_end(self, eid: int, node: int) -> int:
         u, v = self.edges[eid]
         if node == u:
@@ -319,8 +316,8 @@ def graph_to_text(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_commodities(text: str, graph: Graph | None = None) -> list[Commodity]:
-    """Parse commodity text; with a graph given, node ids are range-checked."""
+def load_commodities(text: str, graph: Graph) -> list[Commodity]:
+    """Parse commodity text; node ids are range-checked against ``graph``."""
     lines = _content_lines(text)
     if not lines:
         raise GraphFormatError("empty commodity file")
@@ -343,13 +340,12 @@ def load_commodities(text: str, graph: Graph | None = None) -> list[Commodity]:
         t = _parse_int(tokens[1], lineno, "node id")
         if s == t:
             raise GraphFormatError(f"line {lineno}: source equals target ({s})")
-        if graph is not None:
-            for node in (s, t):
-                if not (0 <= node < graph.node_count):
-                    raise GraphFormatError(
-                        f"line {lineno}: node id {node} out of range "
-                        f"0..{graph.node_count - 1}"
-                    )
+        for node in (s, t):
+            if not (0 <= node < graph.node_count):
+                raise GraphFormatError(
+                    f"line {lineno}: node id {node} out of range "
+                    f"0..{graph.node_count - 1}"
+                )
         out.append(Commodity(s, t))
     return out
 

@@ -16,10 +16,15 @@ is accepted.  Move deltas come from the closures that
 :meth:`Differentiable.multi_delta_fn` (one move on each of several
 trees) return.
 
+Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
+copy of each registered path: the edge set it last counted, beside one
+load per edge.
+
 Differentiables compose: ``a + b`` and ``a - b`` (or :func:`combine`)
 build arithmetic expressions, and :func:`compare` turns a pair of
 expressions into a constraint whose violation is the missing amount
-(absolute difference for equality).
+(absolute difference for equality).  Both build the same expression
+node, whose move delta is its function after the move minus before.
 """
 
 from __future__ import annotations
@@ -38,6 +43,9 @@ class Differentiable:
 
     def __init__(self, trees: Iterable[RootedSpanningTree]) -> None:
         self.trees: tuple[RootedSpanningTree, ...] = tuple(trees)
+        self._index = {id(t): i for i, t in enumerate(self.trees)}
+        if len(self._index) != len(self.trees):
+            raise ValueError("each tree may be registered once")
 
     # subclasses implement _refresh() and _delta(pairs)
 
@@ -64,7 +72,7 @@ class Differentiable:
         self._refresh()
 
     def is_registered(self, tree: RootedSpanningTree) -> bool:
-        return any(t is tree for t in self.trees)
+        return id(tree) in self._index
 
     def _validated_refresh(self, trees: Sequence[RootedSpanningTree]) -> None:
         if len({id(t) for t in trees}) != len(trees):
@@ -171,33 +179,6 @@ class PathCost(Differentiable):
         return 0
 
 
-class EdgeLoadMap:
-    """Per-edge count of registered paths using the edge."""
-
-    __slots__ = ("counts",)
-
-    def __init__(self, edge_count: int) -> None:
-        self.counts = [0] * edge_count
-
-    def add_path(self, path: Iterable[int]) -> int:
-        """Add a path; returns the violation increase: edges whose new load exceeds 1."""
-        grew = 0
-        for e in path:
-            if self.counts[e] >= 1:
-                grew += 1
-            self.counts[e] += 1
-        return grew
-
-    def remove_path(self, path: Iterable[int]) -> int:
-        """Remove a path; returns the violation decrease: edges whose old load exceeded 1."""
-        shrank = 0
-        for e in path:
-            if self.counts[e] >= 2:
-                shrank += 1
-            self.counts[e] -= 1
-        return shrank
-
-
 class PathEdgeDisjoint(Differentiable):
     """Constraint: the registered trees' induced paths are mutually
     edge-disjoint.
@@ -205,38 +186,42 @@ class PathEdgeDisjoint(Differentiable):
     The violation count is the total excess usage over all edges,
     sum over edges of max(0, load(e) - 1), where load(e) is how many paths use edge e.
     It is zero exactly when the paths are pairwise edge-disjoint.
+    Induced paths are elementary, so a path's edge set counts each of
+    its edges once, as the path does.
     """
 
     kind = "constraint"
 
     def __init__(self, trees: Sequence[RootedSpanningTree]) -> None:
         super().__init__(trees)
+        edge_count = 0
         if self.trees:
             g = self.trees[0].graph
             for tree in self.trees:
                 if tree.graph is not g:
                     raise ValueError("all trees must share one graph")
-            if len({id(t) for t in self.trees}) != len(self.trees):
-                raise ValueError("each tree may be registered once")
-            self.loads = EdgeLoadMap(g.edge_count)
-        else:
-            self.loads = EdgeLoadMap(0)
-        self._index = {id(t): i for i, t in enumerate(self.trees)}
+            edge_count = g.edge_count
+        self.loads = [0] * edge_count
         self._violation = 0
         self._cached_versions = [-1] * len(self.trees)
-        self._cached_paths: list[tuple[int, ...]] = [()] * len(self.trees)
         self._cached_sets: list[frozenset[int]] = [frozenset()] * len(self.trees)
         self._refresh()
 
     def _refresh(self) -> None:
+        loads = self.loads
         for i, tree in enumerate(self.trees):
             if self._cached_versions[i] == tree.version:
                 continue
-            new_path = tree.induced_path()
-            self._violation -= self.loads.remove_path(self._cached_paths[i])
-            self._violation += self.loads.add_path(new_path)
-            self._cached_paths[i] = new_path
-            self._cached_sets[i] = frozenset(new_path)
+            for e in self._cached_sets[i]:
+                if loads[e] >= 2:
+                    self._violation -= 1
+                loads[e] -= 1
+            new_set = frozenset(tree.induced_path())
+            for e in new_set:
+                if loads[e] >= 1:
+                    self._violation += 1
+                loads[e] += 1
+            self._cached_sets[i] = new_set
             self._cached_versions[i] = tree.version
 
     def _current(self) -> int:
@@ -244,7 +229,7 @@ class PathEdgeDisjoint(Differentiable):
 
     def _delta(self, pairs: MovePairs) -> int:
         overlay: dict[int, int] = {}
-        counts = self.loads.counts
+        loads = self.loads
         overlay_get = overlay.get
         delta = 0
         for tree, move in pairs:
@@ -256,27 +241,24 @@ class PathEdgeDisjoint(Differentiable):
                 continue
             new_set = frozenset(tree.simulate_path(move))
             for e in old_set - new_set:
-                l = overlay_get(e, counts[e])
+                l = overlay_get(e, loads[e])
                 if l >= 2:
                     delta -= 1
                 overlay[e] = l - 1
             for e in new_set - old_set:
-                l = overlay_get(e, counts[e])
+                l = overlay_get(e, loads[e])
                 if l >= 1:
                     delta += 1
                 overlay[e] = l + 1
         return delta
 
-    def is_registered(self, tree: RootedSpanningTree) -> bool:
-        return id(tree) in self._index
-
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""
         self._refresh()
-        counts = self.loads.counts
+        loads = self.loads
         return [
             tree for i, tree in enumerate(self.trees)
-            if any(counts[e] >= 2 for e in self._cached_paths[i])
+            if any(loads[e] >= 2 for e in self._cached_sets[i])
         ]
 
 
@@ -306,15 +288,18 @@ def _merged_trees(a: Differentiable, b: Differentiable) -> list[RootedSpanningTr
     return trees
 
 
-class _Combined(Differentiable):
-    """Arithmetic combination of two differentiables (or constants)."""
+class _Expression(Differentiable):
+    """``f(a, b)`` over two differentiables (or constants).
 
-    def __init__(self, a, op: str, b) -> None:
-        if op not in _OPS:
-            raise ValueError(f"unknown operator {op!r}; use one of {sorted(_OPS)}")
+    The delta is ``f`` of the operands' values after the move minus
+    ``f`` of their values before, which is exact for every ``f``: the
+    arithmetic operators and the relations alike."""
+
+    def __init__(self, a, f, b, kind: str) -> None:
         self.a = _as_operand(a)
         self.b = _as_operand(b)
-        self.op = op
+        self.f = f
+        self.kind = kind
         super().__init__(_merged_trees(self.a, self.b))
 
     def _refresh(self) -> None:
@@ -322,46 +307,25 @@ class _Combined(Differentiable):
         self.b._refresh()
 
     def _current(self) -> int:
-        return _OPS[self.op](self.a._current(), self.b._current())
-
-    def _delta(self, pairs: MovePairs) -> int:
-        # Both operators are linear, so the delta combines like the values.
-        return _OPS[self.op](self.a._delta(pairs), self.b._delta(pairs))
-
-
-class _Comparison(Differentiable):
-    """Constraint relating two expressions; the violation is the deficit."""
-
-    kind = "constraint"
-
-    def __init__(self, a, rel: str, b) -> None:
-        if rel not in _RELS:
-            raise ValueError(f"unknown relation {rel!r}; use one of {sorted(_RELS)}")
-        self.a = _as_operand(a)
-        self.b = _as_operand(b)
-        self.rel = rel
-        super().__init__(_merged_trees(self.a, self.b))
-
-    def _refresh(self) -> None:
-        self.a._refresh()
-        self.b._refresh()
-
-    def _current(self) -> int:
-        return _RELS[self.rel](self.a._current(), self.b._current())
+        return self.f(self.a._current(), self.b._current())
 
     def _delta(self, pairs: MovePairs) -> int:
         va, vb = self.a._current(), self.b._current()
-        after = _RELS[self.rel](va + self.a._delta(pairs), vb + self.b._delta(pairs))
-        return after - _RELS[self.rel](va, vb)
+        after = self.f(va + self.a._delta(pairs), vb + self.b._delta(pairs))
+        return after - self.f(va, vb)
 
 
 def combine(a, op: str, b) -> Differentiable:
     """Arithmetic composition: op is '+' or '-'; operands may be
     differentiables or plain integers."""
-    return _Combined(a, op, b)
+    if op not in _OPS:
+        raise ValueError(f"unknown operator {op!r}; use one of {sorted(_OPS)}")
+    return _Expression(a, _OPS[op], b, "objective")
 
 
 def compare(a, rel: str, b) -> Differentiable:
     """State a constraint between two expressions; rel is '<=', '>=' or
     '=='.  The violation is how far the relation is from holding."""
-    return _Comparison(a, rel, b)
+    if rel not in _RELS:
+        raise ValueError(f"unknown relation {rel!r}; use one of {sorted(_RELS)}")
+    return _Expression(a, _RELS[rel], b, "constraint")

@@ -73,14 +73,13 @@ class SearchTrace:
 
     ``improvements`` holds (clock, value) pairs for every new best of the
     objective; the last one is the best.  ``events`` also records accepted
-    moves and diversification steps.  ``clock`` says how timestamps are
-    measured ('seconds' or 'iterations').
+    moves and diversification steps.  Timestamps are iteration numbers
+    under ``iter_cap`` and seconds otherwise.
     """
 
     iterations: int = 0
     improvements: list[tuple[float, int]] = field(default_factory=list)
     events: list[tuple[float, str, int]] = field(default_factory=list)
-    clock: str = "seconds"
 
     @property
     def best_value(self) -> int:
@@ -90,28 +89,16 @@ class SearchTrace:
     def best_time(self) -> float:
         return self.improvements[-1][0] if self.improvements else 0.0
 
-    def to_csv(self) -> str:
-        """``time_s,value`` rows, or ``iteration,value`` for the
-        iteration clock."""
-        if self.clock == "iterations":
-            lines = ["iteration,value"]
-            lines.extend(f"{int(t)},{v}" for t, v in self.improvements)
-        else:
-            lines = ["time_s,value"]
-            lines.extend(f"{t:.3f},{v}" for t, v in self.improvements)
-        return "\n".join(lines) + "\n"
-
 
 def explore_one_move(
     tree: RootedSpanningTree,
     objective: Differentiable,
-    rng: random.Random | None = None,
+    rng: random.Random,
 ) -> BasicMove | None:
     """First strictly improving basic move on ``tree``, or None.
 
-    Scans preferred replacing edges and, per edge, preferred replacable
-    edges; with an rng the scan order is shuffled, otherwise it is the
-    natural deterministic order.
+    Scans the preferred replacing edges in an order shuffled by ``rng``
+    and, per edge, one preferred replacable edge drawn from ``rng``.
 
     All preferred removals for one inserted edge produce the same new
     induced path (any of them detaches the source-side stretch, and the
@@ -120,12 +107,10 @@ def explore_one_move(
     per inserted edge and picks a removal among the equivalent ones.
     """
     pairs = list(tree.preferred_moves())
-    if rng is not None:
-        rng.shuffle(pairs)
+    rng.shuffle(pairs)
     delta = objective.move_delta_fn(tree)
     for e_in, outs in pairs:
-        e_out = rng.choice(outs) if rng is not None else outs[0]
-        move = BasicMove(e_in, e_out)
+        move = BasicMove(e_in, rng.choice(outs))
         if delta(move) < 0:
             return move
     return None
@@ -287,7 +272,7 @@ def run(
     def time_up() -> bool:
         return not capped and time.monotonic() - start >= cfg.time_limit_s
 
-    trace = SearchTrace(clock="iterations" if capped else "seconds")
+    trace = SearchTrace()
     value = objective.value()
     trace.improvements.append((clock(), value))
     if callback is not None:

@@ -234,14 +234,6 @@ class RootedSpanningTree:
             self._path = tuple(path)
         return self._path
 
-    def induced_path_nodes(self) -> list[int]:
-        nodes = [self.source]
-        node = self.source
-        while node != self.root:
-            node = self._father_node[node]
-            nodes.append(node)
-        return nodes
-
     def replacing_edges(self) -> list[int]:
         """All non-tree edges, ascending."""
         tree = set(self._father_edge)
@@ -415,7 +407,7 @@ class RootedSpanningTree:
         u, v = self.graph.edges[e_in]
         if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
             raise InvalidMoveError(f"edge {e_in} is already a tree edge")
-        pos, path_edges, edge_pos, q, _ = self._path_index()
+        nodes, path_edges, edge_pos, q, _ = self._path_index()
         j = edge_pos.get(e_out)
         if j is None:
             # Removal off the induced path: the path stays as it is, but the
@@ -437,13 +429,13 @@ class RootedSpanningTree:
         else:
             inside, outside, q_in, q_out = v, u, b, a
         chain_in = []
-        node = inside
-        while node not in pos:
+        node, stop = inside, nodes[q_in]
+        while node != stop:
             chain_in.append(self._father_edge[node])
             node = self._father_node[node]
         chain_out = []
-        node = outside
-        while node not in pos:
+        node, stop = outside, nodes[q_out]
+        while node != stop:
             chain_out.append(self._father_edge[node])
             node = self._father_node[node]
         return (path_edges[:q_in] + tuple(reversed(chain_in)) + (e_in,)
@@ -463,25 +455,29 @@ class RootedSpanningTree:
         return self._father_edge[u] == e or self._father_edge[v] == e
 
     def _path_index(self):
-        """Cached per revision: (pos, path_edges, edge_pos, q, preferred).
+        """Cached per revision: (nodes, path_edges, edge_pos, q, preferred).
 
-        ``pos`` maps on-path nodes to their index from the source,
+        ``nodes`` lists the induced path's nodes from the source,
         ``edge_pos`` maps path edges to their index, ``q[x]`` is the
-        index of the first on-path node on x's father chain (x's own
-        index if x is on the path), and ``preferred`` is what
-        :meth:`preferred_moves` returns.  Everything downstream of the
-        neighborhood reduction reads from this index.
+        index in ``nodes`` of the first on-path node on x's father chain
+        (x's own index if x is on the path), and ``preferred`` is what
+        :meth:`preferred_moves` returns.  One walk up the father chain
+        from the source gives ``nodes`` and their ``q``.  Everything
+        downstream of the neighborhood reduction reads from this index.
         """
         if self._index is not None:
             return self._index
         path_edges = self.induced_path()
-        nodes = self.induced_path_nodes()
-        pos = {node: i for i, node in enumerate(nodes)}
         edge_pos = {e: i for i, e in enumerate(path_edges)}
-        q = [-1] * self.graph.node_count
-        for node, i in pos.items():
-            q[node] = i
         father = self._father_node
+        q = [-1] * self.graph.node_count
+        node = self.source
+        nodes = [node]
+        q[node] = 0
+        while node != self.root:
+            node = father[node]
+            q[node] = len(nodes)
+            nodes.append(node)
         for start in range(self.graph.node_count):
             if q[start] >= 0:
                 continue
@@ -504,12 +500,12 @@ class RootedSpanningTree:
             if a > b:
                 a, b = b, a
             preferred.append((e_in, path_edges[a:b]))
-        self._index = (pos, path_edges, edge_pos, q, tuple(preferred))
+        self._index = (nodes, path_edges, edge_pos, q, tuple(preferred))
         return self._index
 
     def _cycle_segments(self, e_in: int) -> tuple[list[int], list[int]]:
         """Father-chain segments (u-to-meet, v-to-meet) for e_in = (u, v)."""
-        u, v = self.graph.endpoints(e_in)
+        u, v = self.graph.edges[e_in]
         pos = {u: 0}
         chain = [u]
         edges_u = []
@@ -542,7 +538,7 @@ class RootedSpanningTree:
                 continue
             if not (0 <= fe < g.edge_count):
                 raise AssertionError(f"node {node} has no father edge")
-            if set(g.endpoints(fe)) != {node, fn}:
+            if set(g.edges[fe]) != {node, fn}:
                 raise AssertionError(f"father edge of {node} has wrong endpoints")
             if fe in used:
                 raise AssertionError(f"edge {fe} is father edge of two nodes")

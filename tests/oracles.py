@@ -45,9 +45,9 @@ def cycle_of(g: Graph, tree_edges, e_in: int) -> set[int]:
     """Tree edges on the cycle that inserting e_in closes (networkx)."""
     nxg = nx.Graph()
     for eid in tree_edges:
-        u, v = g.endpoints(eid)
+        u, v = g.edges[eid]
         nxg.add_edge(u, v, eid=eid)
-    u, v = g.endpoints(e_in)
+    u, v = g.edges[e_in]
     nodes = nx.shortest_path(nxg, u, v)
     return {nxg.edges[a, b]["eid"] for a, b in zip(nodes, nodes[1:])}
 
@@ -90,7 +90,7 @@ def all_spanning_trees(g: Graph):
         nxg = nx.Graph()
         nxg.add_nodes_from(range(n))
         for eid in combo:
-            u, v = g.endpoints(eid)
+            u, v = g.edges[eid]
             nxg.add_edge(u, v)
         if nxg.number_of_edges() == n - 1 and nx.is_connected(nxg):
             yield frozenset(combo)

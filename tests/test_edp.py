@@ -58,6 +58,26 @@ def test_solver_outputs_verify(solve):
             assert solution.best_time == trace.best_time
 
 
+SUMMARY = "objective={}, C=0, time_to_best=0.000\n"
+
+
+@pytest.mark.parametrize("dump,problems", [
+    ("0 0 2 2 : 0 1 2\n" + SUMMARY.format(7) + SUMMARY.format(1),
+     ["line 3: repeated summary line",
+      "summary says objective=7 but dump has 1 path(s)"]),
+    ("0 0 2 : 0 1 2\n" + SUMMARY.format(0),
+     ["line 1: expected 'i s t hops : nodes'"]),
+    ("0 0 2 2 9 : 0 1 2\n" + SUMMARY.format(0),
+     ["line 1: expected 'i s t hops : nodes'"]),
+    ("0 0 2 x : 0 1 2\n" + SUMMARY.format(0), ["line 1: non-integer field"]),
+], ids=["repeated-summary", "three-field-head", "five-field-head",
+        "non-integer-head"])
+def test_verify_dump_reports(dump, problems):
+    g = load_graph("3 3\n0 1\n1 2\n0 2\n")
+    inst = EdpInstance(g, (Commodity(0, 2),))
+    assert verify_dump(dump, inst) == problems
+
+
 def test_msga_without_passes_routes_nothing():
     inst = next(random_instances(4, 1))
     solution, trace = solve_msga(inst, SearchConfig(iter_cap=0))
@@ -83,7 +103,7 @@ def slow_build_solve(monkeypatch, build_s, scan_s=0.25):
         now[0] += build_s
         return build(inst, seed)
 
-    def slow_scan(tree, objective, rng=None):
+    def slow_scan(tree, objective, rng):
         scan_starts.append(now[0] - 100.0)
         now[0] += scan_s
         return scan(tree, objective, rng)

@@ -106,11 +106,11 @@ class TestCommodities:
     def test_roundtrip(self, triangle):
         commodities = load_commodities("2\n0 2\n1 0\n", triangle)
         assert [(c.source, c.target) for c in commodities] == [(0, 2), (1, 0)]
-        assert load_commodities(commodities_to_text(commodities)) == commodities
+        assert load_commodities(commodities_to_text(commodities), triangle) == commodities
 
-    def test_source_equals_target_rejected(self):
+    def test_source_equals_target_rejected(self, triangle):
         with pytest.raises(GraphFormatError, match="source equals target"):
-            load_commodities("1\n1 1\n")
+            load_commodities("1\n1 1\n", triangle)
 
     def test_range_checked_against_graph(self, triangle):
         with pytest.raises(GraphFormatError, match="out of range"):

@@ -13,7 +13,6 @@ from treeroute import (
     PathEdgeDisjoint,
     RootedSpanningTree,
     SearchConfig,
-    SearchTrace,
     compare,
     explore_one_move,
     explore_pair_move,
@@ -74,7 +73,7 @@ class TestExploreOneMove:
         g = load_graph("4 4\n0 1 5\n1 2 1\n0 3 1\n3 1 1\n")
         tree = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 2])
         cost = PathCost(tree, 0)
-        move = explore_one_move(tree, cost)
+        move = explore_one_move(tree, cost, random.Random(0))
         assert move is not None
         assert cost.move_delta_fn(tree)(move) < 0
 
@@ -82,12 +81,12 @@ class TestExploreOneMove:
         _, tree, objective = plateau_instance()
         delta = objective.move_delta_fn(tree)
         assert all(delta(m) >= 0 for m in all_preferred_moves(tree))
-        assert explore_one_move(tree, objective) is None
+        assert explore_one_move(tree, objective, random.Random(0)) is None
 
     def test_absent_on_tree_shaped_graph(self):
         g = load_graph("4 3\n0 1 1\n1 2 1\n2 3 1\n")
         tree = RootedSpanningTree.from_edges(g, 0, 3, [0, 1, 2])
-        assert explore_one_move(tree, PathCost(tree, 0)) is None
+        assert explore_one_move(tree, PathCost(tree, 0), random.Random(0)) is None
 
     def test_global_optimum_on_enumerable_instance(self):
         # all spanning trees enumerated: no tree gives a cheaper 0-3 path
@@ -99,7 +98,7 @@ class TestExploreOneMove:
         tree = RootedSpanningTree.from_edges(g, 0, 3, [0, 1, 2])
         cost = PathCost(tree, 0)
         assert cost.value() == best_cost
-        assert explore_one_move(tree, cost) is None
+        assert explore_one_move(tree, cost, random.Random(0)) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -270,16 +269,6 @@ class TestRun:
         run(objective, SearchConfig(iter_cap=100, seed=1))
         assert "_perturb" in kicks and "_restart_conflicted" in kicks
 
-    def test_trace_csv_shape(self):
-        trace = run(small_model(9), SearchConfig(iter_cap=50, seed=0))
-        lines = trace.to_csv().splitlines()
-        assert lines[0] == "iteration,value"
-        assert len(lines) == 1 + len(trace.improvements)
-        assert lines[1:] == [f"{int(t)},{v}" for t, v in trace.improvements]
-
-        timed = SearchTrace(improvements=[(0.25, 3)], clock="seconds")
-        assert timed.to_csv() == "time_s,value\n0.250,3\n"
-
     def test_wall_clock_budget_respected(self):
         import time
 
@@ -297,7 +286,7 @@ class TestRun:
         now = [100.0]
         scan_starts = []
 
-        def slow_scan(tree, obj, rng=None):
+        def slow_scan(tree, obj, rng):
             scan_starts.append(now[0] - 100.0)
             now[0] += 0.4
             return explore_one_move(tree, obj, rng)
@@ -308,14 +297,31 @@ class TestRun:
         assert scan_starts and max(scan_starts) < 1.0
         assert trace.iterations == 1 and trace.events == []
 
-    def test_moves_come_from_preferred_sets_and_change_paths(self):
-        # every accepted move changes at least one induced path: the path
-        # set over all trees must differ around each accept event
+    def test_moves_come_from_preferred_sets_and_change_paths(self, monkeypatch):
+        # every move run() applies on an accept is in its tree's preferred
+        # set and changes that tree's induced path; kick moves are skipped
         objective = small_model(17)
-        seen_paths = [tuple(t.induced_path() for t in objective.trees)]
+        checked = []
+        kicking = []
+        apply = RootedSpanningTree.apply
+        perturb = search._perturb
 
-        def callback(kind, iteration, value, clock):
-            seen_paths.append(tuple(t.induced_path() for t in objective.trees))
+        def checked_apply(tree, move):
+            if not kicking:
+                checked.append((move in set(all_preferred_moves(tree)),
+                                tree.simulate_path(move) != tree.induced_path()))
+            return apply(tree, move)
 
-        run(objective, SearchConfig(iter_cap=120, seed=6), callback)
-        assert objective.value() == objective._current()
+        def flagged_perturb(obj, rng):
+            kicking.append(True)
+            try:
+                perturb(obj, rng)
+            finally:
+                kicking.pop()
+
+        monkeypatch.setattr(RootedSpanningTree, "apply", checked_apply)
+        monkeypatch.setattr(search, "_perturb", flagged_perturb)
+        trace = run(objective, SearchConfig(iter_cap=120, seed=6))
+        accepts = [kind for _, kind, _ in trace.events if kind == "accept:one-move"]
+        assert accepts and len(checked) == len(accepts)
+        assert all(preferred and changed for preferred, changed in checked)

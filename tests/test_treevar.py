@@ -10,6 +10,7 @@ from treeroute import (
     InvalidMoveError,
     RootedSpanningTree,
     load_graph,
+    path_nodes,
 )
 from treeroute.generators import generate_mesh, generate_random_connected
 
@@ -114,7 +115,7 @@ class TestInducedPath:
         g = load_graph("3 2\n0 1\n1 2\n")
         tree = make_tree(g, 0, 2, [0, 1])
         assert tree.induced_path() == (0, 1)
-        assert tree.induced_path_nodes() == [0, 1, 2]
+        assert path_nodes(g, 0, tree.induced_path()) == [0, 1, 2]
 
     def test_adjacent_source(self, triangle):
         tree = make_tree(triangle, 0, 2, [1, 2])
