@@ -331,9 +331,9 @@ def verify_dump(text: str, inst: EdpInstance) -> list[str]:
         if not ok:
             continue
 
-    if stated_objective is None:
+    if not summary_seen:
         problems.append("missing summary line")
-    elif stated_objective != path_lines:
+    elif stated_objective is not None and stated_objective != path_lines:
         problems.append(
             f"summary says objective={stated_objective} but dump has "
             f"{path_lines} path(s)"

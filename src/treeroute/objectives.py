@@ -16,6 +16,16 @@ is accepted.  Move deltas come from the closures that
 :meth:`Differentiable.multi_delta_fn` (one move on each of several
 trees) return.
 
+:meth:`Differentiable.may_improve_fn` lets a scan skip the deltas that
+cannot be negative.  It returns a predicate over the path edges a
+one-move would take off a tree's induced path; the predicate may answer
+False only when no one-move that takes exactly those edges off the path
+lowers the value, so a scan that evaluates a move only where it answers
+True finds every strict improvement it would find without it.  The base
+class (and so :class:`PathCost` and every expression) always answers
+True; :class:`PathEdgeDisjoint` answers True iff one of the edges is
+shared with another path.
+
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
 load per edge.
@@ -93,6 +103,15 @@ class Differentiable:
             return self._delta(((tree, move),))
 
         return delta
+
+    def may_improve_fn(self, tree: RootedSpanningTree):
+        """``removed -> bool``: False only if no one-move on ``tree``
+        that takes the path edges ``removed`` off its induced path
+        lowers ``value()``.  Same validity rule as
+        :meth:`move_delta_fn`.  The base class cannot tell and answers
+        True."""
+        self._validated_refresh((tree,))
+        return lambda removed: True
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
@@ -252,13 +271,30 @@ class PathEdgeDisjoint(Differentiable):
                 overlay[e] = l + 1
         return delta
 
+    def _shares_an_edge(self, edges: Iterable[int]) -> bool:
+        """Whether some edge in ``edges`` carries two or more paths."""
+        loads = self.loads
+        return any(loads[e] >= 2 for e in edges)
+
+    def may_improve_fn(self, tree: RootedSpanningTree):
+        """``removed -> bool``: whether one of the path edges ``removed``
+        is shared with another path.
+
+        Sound: a one-move that takes the stretch ``removed`` off the
+        induced path puts back only edges that were off it (father-chain
+        edges and the inserted edge), so its delta is the number of
+        added edges with load 1 or more minus the number of removed
+        edges with load 2 or more.  The first term is never negative,
+        so with no shared edge in ``removed`` the delta is not either."""
+        self._validated_refresh((tree,))
+        return self._shares_an_edge
+
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""
         self._refresh()
-        loads = self.loads
         return [
             tree for i, tree in enumerate(self.trees)
-            if any(loads[e] >= 2 for e in self._cached_sets[i])
+            if self._shares_an_edge(self._cached_sets[i])
         ]
 
 

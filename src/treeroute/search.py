@@ -12,7 +12,12 @@ removal for one inserted edge gives the same new path, so one delta per
 inserted edge covers them all), which means the trees sit at a one-move
 local minimum; the engine then kicks at once, alternating between a
 small random perturbation of the conflicted trees and a
-re-initialization of them.
+re-initialization of them.  The scan evaluates a delta only where the
+objective's :meth:`~treeroute.objectives.Differentiable.may_improve_fn`
+says the removed path stretch could lower the value (for edge
+disjointness: where it holds a shared edge); it still draws a removal
+for every inserted edge, so the filter changes neither the rng stream
+nor any decision.
 
 :func:`explore_two_move` (two independent replacements on one tree) and
 :func:`explore_pair_move` (one replacement on each of two trees,
@@ -105,14 +110,23 @@ def explore_one_move(
     path reconnects through the inserted edge), so their deltas agree for
     every path-derived objective; the scan therefore evaluates one delta
     per inserted edge and picks a removal among the equivalent ones.
+
+    That delta is evaluated only when ``objective.may_improve_fn(tree)``
+    holds for the removed stretch; elsewhere it cannot be negative.  The
+    removal is drawn for every inserted edge all the same, so ``rng``
+    advances exactly as in a scan that evaluates every delta, and the
+    returned move is the same.
     """
     pairs = list(tree.preferred_moves())
     rng.shuffle(pairs)
     delta = objective.move_delta_fn(tree)
+    may_improve = objective.may_improve_fn(tree)
     for e_in, outs in pairs:
-        move = BasicMove(e_in, rng.choice(outs))
-        if delta(move) < 0:
-            return move
+        e_out = rng.choice(outs)
+        if may_improve(outs):
+            move = BasicMove(e_in, e_out)
+            if delta(move) < 0:
+                return move
     return None
 
 

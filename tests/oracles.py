@@ -13,7 +13,7 @@ from collections import deque
 
 import networkx as nx
 
-from treeroute import Graph, RootedSpanningTree
+from treeroute import BasicMove, Graph, RootedSpanningTree
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -212,3 +212,17 @@ def random_fathers_reference(g: Graph, root: int, rng: random.Random):
                 father_edge[w] = eid
                 queue.append(w)
     return father_node, father_edge
+
+
+def explore_one_move_reference(tree, objective, rng: random.Random):
+    """One-move scan that evaluates the exact delta of every preferred
+    inserted edge: the move and the rng draws a filtered scan must
+    reproduce."""
+    pairs = list(tree.preferred_moves())
+    rng.shuffle(pairs)
+    delta = objective.move_delta_fn(tree)
+    for e_in, outs in pairs:
+        move = BasicMove(e_in, rng.choice(outs))
+        if delta(move) < 0:
+            return move
+    return None

@@ -70,8 +70,12 @@ SUMMARY = "objective={}, C=0, time_to_best=0.000\n"
     ("0 0 2 2 9 : 0 1 2\n" + SUMMARY.format(0),
      ["line 1: expected 'i s t hops : nodes'"]),
     ("0 0 2 x : 0 1 2\n" + SUMMARY.format(0), ["line 1: non-integer field"]),
+    ("0 0 2 2 : 0 1 2\nobjective=x, C=0\n", ["line 2: bad summary line"]),
+    ("0 0 2 2 : 0 1 2\nobjective=1 C=0\n", ["line 2: bad summary line"]),
+    ("0 0 2 2 : 0 1 2\n", ["missing summary line"]),
 ], ids=["repeated-summary", "three-field-head", "five-field-head",
-        "non-integer-head"])
+        "non-integer-head", "non-integer-summary", "summary-without-separator",
+        "no-summary"])
 def test_verify_dump_reports(dump, problems):
     g = load_graph("3 3\n0 1\n1 2\n0 2\n")
     inst = EdpInstance(g, (Commodity(0, 2),))

@@ -56,6 +56,11 @@ LS_GOLDEN = {
         "4d72430c97ca561072db6fb0d3b75e6ad46e502d2088348656f0979c47621e83",
 }
 
+# The ls-mesh15-sparse benchmark cell (k=22) at its iter_cap of 120,
+# where most scanned removals hold no shared edge.
+SPARSE_LS_GOLDEN = (
+    "84c269a6a6055a4532b2a97d7476e88bba03eb85e5dbaec9b505406d827bf8fc")
+
 # sha256 of dump + improvements only: MSGA records no search events.
 MSGA_GOLDEN = {
     0: "b12b49a4a43ca7bcb28c0f26beeb6add0f236e67f873ff909e11c7f29542d276",
@@ -84,6 +89,15 @@ def test_capped_ls_digest(graph, ratio, seed):
     solution, trace = solve_ls(inst, SearchConfig(seed=seed, iter_cap=40))
     assert _digest(solution_to_dump(solution, inst), trace) == \
         LS_GOLDEN[graph, ratio, seed]
+
+
+def test_capped_ls_digest_at_sparse_benchmark_scale():
+    _, g = resolve_graph("mesh:15x15")
+    k = commodity_count("0.10", g.node_count)
+    assert k == 22
+    inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
+    solution, trace = solve_ls(inst, SearchConfig(seed=0, iter_cap=120))
+    assert _digest(solution_to_dump(solution, inst), trace) == SPARSE_LS_GOLDEN
 
 
 @pytest.mark.parametrize("seed", sorted(MSGA_GOLDEN))

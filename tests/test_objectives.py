@@ -1,6 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treeroute import (
     BasicMove,
@@ -189,6 +192,65 @@ class TestReplaceEdgeDelta:
             if rng.random() < 0.4:
                 tree.apply(m)
                 constraint.commit()
+
+
+class TestMayImprove:
+    def test_base_and_expression_predicates_are_always_true(self):
+        rng = random.Random(4)  # tree 0 shares some of its path
+        g = generate_mesh(4, 4)
+        trees = [oracles.random_tree_variable(rng, g) for _ in range(4)]
+        tree = trees[0]
+        constraint = PathEdgeDisjoint(trees)
+        outs_list = [outs for _, outs in tree.preferred_moves()]
+        own = constraint.may_improve_fn(tree)
+        assert any(own(outs) for outs in outs_list)
+        assert not all(own(outs) for outs in outs_list)
+        kinds = [
+            PathCost(tree, 0),
+            compare(PathCost(tree, 0), "<=", 2),
+            combine(PathCost(tree, 0), "-", 1),
+            compare(constraint, "<=", 0),
+            constraint + 0,
+        ]
+        for d in kinds:
+            may_improve = d.may_improve_fn(tree)
+            assert all(may_improve(outs) for outs in outs_list)
+
+    def test_unregistered_tree_rejected(self):
+        g = load_graph("3 3\n0 1 1\n1 2 1\n0 2 1\n")
+        t1 = RootedSpanningTree.from_edges(g, 0, 2, [0, 1])
+        t2 = RootedSpanningTree.from_edges(g, 0, 2, [0, 1])
+        for d in (PathCost(t1, 0), PathEdgeDisjoint([t1]),
+                  compare(PathCost(t1, 0), "<=", 1)):
+            with pytest.raises(ValueError, match="not registered"):
+                d.may_improve_fn(t2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_disjointness_predicate_is_sound(seed):
+    # A preferred move takes the stretch ``outs`` off the path and adds
+    # only edges that were off it, so with no shared edge in ``outs``
+    # the violation cannot fall, whichever removal is drawn.
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 10), rng.randint(1, 10))
+    trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
+    constraint = PathEdgeDisjoint(trees)
+    for _ in range(rng.randint(0, 6)):
+        tree = rng.choice(trees)
+        move = oracles.random_valid_move(rng, tree)
+        if move is not None:
+            tree.apply(BasicMove(*move))
+    loads = Counter(e for t in trees for e in t.induced_path())
+    conflicted = constraint.conflicted_trees()
+    for tree in trees:
+        may_improve = constraint.may_improve_fn(tree)
+        delta = constraint.move_delta_fn(tree)
+        assert may_improve(tree.induced_path()) == any(t is tree for t in conflicted)
+        for e_in, outs in tree.preferred_moves():
+            assert may_improve(outs) == any(loads[e] >= 2 for e in outs)
+            if not may_improve(outs):
+                assert all(delta(BasicMove(e_in, e_out)) >= 0 for e_out in outs)
 
 
 class TestReplaceEdgeDeltaMulti:

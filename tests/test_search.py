@@ -132,6 +132,35 @@ def test_failed_one_move_scan_is_exhaustive(seed, kind):
             assert delta(found) < 0
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(["edp", "cost"]))
+def test_filtered_scan_draws_and_decides_as_the_reference(seed, kind):
+    # The scan skips the deltas that cannot improve, but draws a removal
+    # for every inserted edge, so one rng threaded through a short
+    # descent sees the same stream and moves as the unfiltered scan.
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 9), rng.randint(1, 8))
+    trees = [oracles.random_tree_variable(rng, g)
+             for _ in range(3 if kind == "edp" else 1)]
+    for tree in trees:
+        for _ in range(rng.randint(0, 4)):
+            move = oracles.random_valid_move(rng, tree)
+            if move is not None:
+                tree.apply(BasicMove(*move))
+    if kind == "edp":
+        objective = PathEdgeDisjoint(trees)
+    else:
+        objective = compare(PathCost(trees[0], 0), "<=", rng.randint(0, 12))
+    scan_rng, reference_rng = random.Random(seed), random.Random(seed)
+    for tree in trees * 3:
+        found = explore_one_move(tree, objective, scan_rng)
+        expected = oracles.explore_one_move_reference(tree, objective, reference_rng)
+        assert found == expected
+        assert scan_rng.getstate() == reference_rng.getstate()
+        if found is not None:
+            tree.apply(found)
+
+
 class TestExploreTwoMove:
     def test_finds_pair_on_plateau(self):
         _, tree, objective = plateau_instance()
