@@ -30,12 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .edp import EdpInstance, solve_ls, solve_msga
+from .edp import SOLVERS, EdpInstance
 from .generators import generate_commodities, generate_mesh, generate_random_connected
 from .graph import Graph, load_graph
 from .search import SearchConfig
-
-SOLVERS = ("ls", "msga")
 
 RAW_HEADER = ("graph", "ratio", "k", "solver", "seed", "q", "t_s")
 AGGREGATE_HEADER = ("graph", "ratio", "k", "solver", "q_mean", "t_mean_s", "instances")
@@ -71,7 +69,7 @@ class BenchmarkSpec:
             ratios.add(f)
         for s in self.solvers:
             if s not in SOLVERS:
-                raise ValueError(f"unknown solver {s!r}; use one of {SOLVERS}")
+                raise ValueError(f"unknown solver {s!r}; use one of {tuple(SOLVERS)}")
         if not self.solvers:
             raise ValueError("benchmark spec needs at least one solver")
         if len(set(self.solvers)) != len(self.solvers):
@@ -165,8 +163,7 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 def commodity_count(ratio: str, node_count: int) -> int:
     """Cell size for a ratio: floor(ratio * n), computed exactly."""
-    k = int(Fraction(ratio) * node_count)
-    return k
+    return int(Fraction(ratio) * node_count)
 
 
 def _run_one(task: tuple) -> tuple[int, float]:
@@ -175,8 +172,7 @@ def _run_one(task: tuple) -> tuple[int, float]:
     commodities = tuple(generate_commodities(g, k, seed))
     inst = EdpInstance(g, commodities)
     cfg = SearchConfig(time_limit_s=time_limit_s, seed=seed, iter_cap=iter_cap)
-    solve = solve_ls if solver == "ls" else solve_msga
-    solution, _ = solve(inst, cfg)
+    solution, _ = SOLVERS[solver](inst, cfg)
     return solution.objective, solution.best_time
 
 

@@ -15,7 +15,7 @@ import argparse
 import sys
 
 from .bench import parse_spec, run_benchmark
-from .edp import EdpInstance, solution_to_dump, solve_ls, solve_msga, verify_dump
+from .edp import SOLVERS, EdpInstance, solution_to_dump, verify_dump
 from .generators import generate_commodities, generate_mesh, generate_random_connected
 from .graph import (
     GraphFormatError,
@@ -82,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve one instance")
     solve.add_argument("--graph", required=True)
     solve.add_argument("--commodities", required=True)
-    solve.add_argument("--solver", choices=("ls", "msga"), default="ls")
+    solve.add_argument("--solver", choices=SOLVERS, default="ls")
     solve.add_argument("--time-limit", type=float, default=10.0, metavar="SECS")
     solve.add_argument("--iter-cap", type=int, default=None, metavar="N",
                        help="deterministic mode: stop after N iterations/passes")
@@ -125,8 +125,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         seed=args.seed,
         iter_cap=args.iter_cap,
     )
-    solve = solve_ls if args.solver == "ls" else solve_msga
-    solution, _ = solve(inst, cfg)
+    solution, _ = SOLVERS[args.solver](inst, cfg)
     _write(args.out, solution_to_dump(solution, inst))
     return EXIT_OK
 
@@ -137,8 +136,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     _write(args.out, result.aggregate_csv())
     raw_out = args.raw_out
     if raw_out is None:
-        raw_out = args.out + ".raw.csv" if not args.out.endswith(".csv") \
-            else args.out[: -len(".csv")] + ".raw.csv"
+        raw_out = args.out.removesuffix(".csv") + ".raw.csv"
     _write(raw_out, result.raw_csv())
     sys.stdout.write(result.aggregate_csv())
     return EXIT_OK

@@ -166,30 +166,30 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     """Violation-guided local search with extraction on the side.
 
     The search itself only ever sees the violation count; feasible
-    solutions are extracted at every new violation best and every
-    ``search.EVAL_INTERVAL`` iterations, and the first one with the most
-    routed commodities is returned.  The trees are left in their final
-    search state, not the one that gave the best routing.
+    solutions are extracted from the search's ``evaluate`` hook (the
+    initial trees, every new violation best and every
+    ``search.EVAL_INTERVAL`` iterations), and the first one with the
+    most routed commodities is returned.  The trees are left in their
+    final search state, not the one that gave the best routing.
 
     In budget mode the clock starts on entry, so building the model
     counts against ``time_limit_s``, and trace times and ``best_time``
-    count from entry, as in :func:`solve_msga`.
+    count from entry, as in :func:`solve_msga`.  No extraction after
+    the initial one starts once the limit has passed.
     """
     started = time.monotonic()
     constraint = build_model(inst, cfg.seed)
     best: EdpSolution | None = None
 
-    def callback(kind: str, iteration: int, value: int, clock: float) -> None:
+    def evaluate(clock: float) -> None:
         nonlocal best
-        if kind not in ("initial", "improvement", "interval"):
-            return
         paths = [tree.induced_path() for tree in constraint.trees]
         routed = evaluate_assignment(inst.graph, inst.commodities, paths)
         if best is None or len(routed) > best.objective:
             best = EdpSolution(routed, constraint.value(), clock)
 
-    trace = run(constraint, cfg, callback, started)
-    assert best is not None  # the initial callback always runs
+    trace = run(constraint, cfg, evaluate, started)
+    assert best is not None  # the initial evaluation always runs
     return best, trace
 
 
@@ -228,6 +228,10 @@ def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, Searc
 
     trace.iterations = passes
     return EdpSolution(best_routed, 0, trace.best_time), trace
+
+
+# Solvers by the name ``treeroute solve --solver`` and bench specs use.
+SOLVERS = {"ls": solve_ls, "msga": solve_msga}
 
 
 # -- solution dumps ----------------------------------------------------------

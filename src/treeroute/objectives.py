@@ -10,8 +10,9 @@ suite holds every class to that with apply/recompute/undo oracles.
 
 Caches are keyed by the trees' revision counters and are refreshed
 lazily on access, so callers may mutate a tree and simply query again;
-:meth:`Differentiable.commit` forces the refresh eagerly after a move
-is accepted.  Move deltas come from the closures that
+:meth:`Differentiable.commit` forces the refresh eagerly, for callers
+that want to pay it at a moment of their choosing (the search engine
+does not call it).  Move deltas come from the closures that
 :meth:`Differentiable.move_delta_fn` (one tree) and
 :meth:`Differentiable.multi_delta_fn` (one move on each of several
 trees) return.

@@ -19,6 +19,11 @@ disjointness: where it holds a shared edge); it still draws a removal
 for every inserted edge, so the filter changes neither the rng stream
 nor any decision.
 
+The client sees the search through one hook, ``evaluate(clock)`` (see
+:func:`run`).  The search never calls ``objective.commit()``: the next
+value, delta or may-improve query refreshes the caches, and a violation
+count depends only on the final edge loads, not on the refresh order.
+
 :func:`explore_two_move` (two independent replacements on one tree) and
 :func:`explore_pair_move` (one replacement on each of two trees,
 evaluated jointly) are library neighbourhoods; :func:`run` does not use
@@ -45,7 +50,7 @@ from typing import Callable
 from .objectives import Differentiable
 from .treevar import BasicMove, ComplexMove, RootedSpanningTree
 
-# Iterations between two "interval" callbacks.
+# Iterations between two periodic evaluations.
 EVAL_INTERVAL = 1000
 # Sampled bundles per tree in a two-move search.
 TWO_MOVE_SAMPLES = 20
@@ -54,9 +59,8 @@ PAIR_MOVE_SAMPLES = 30
 # Random basic moves per tree in a perturbation.
 PERTURBATION_MOVES = 3
 
-# callback(kind, iteration, guiding value, clock) with kind in
-# {"initial", "improvement", "interval", "perturbation", "restart"}
-Callback = Callable[[str, int, int, float], None]
+# evaluate(clock): the client's look at the current trees
+Evaluate = Callable[[float], None]
 
 
 @dataclass
@@ -138,7 +142,6 @@ def _complex_delta(
     token = tree.apply_complex(cm)
     after = objective.value()
     tree.undo(token)
-    objective.commit()
     return after - before
 
 
@@ -211,11 +214,11 @@ def _perturb(objective: Differentiable, rng: random.Random) -> None:
     if not targets:
         targets = rng.sample(objective.trees, min(2, len(objective.trees)))
     for tree in targets:
-        delta = objective.move_delta_fn(tree)
         for _ in range(PERTURBATION_MOVES):
             choices = tree.preferred_moves()
             if not choices:
                 break
+            delta = objective.move_delta_fn(tree)
             picked = None
             for _ in range(12):
                 e_in, outs = rng.choice(choices)
@@ -226,8 +229,6 @@ def _perturb(objective: Differentiable, rng: random.Random) -> None:
                 if picked is None:
                     picked = move
             tree.apply(picked)
-            objective.commit()
-            delta = objective.move_delta_fn(tree)
 
 
 def _restart_conflicted(objective: Differentiable, rng: random.Random) -> None:
@@ -243,13 +244,12 @@ def _restart_conflicted(objective: Differentiable, rng: random.Random) -> None:
         targets = [rng.choice(objective.trees)]
     for tree in targets:
         tree.reinit_random(rng)
-        objective.commit()
 
 
 def run(
     objective: Differentiable,
     cfg: SearchConfig,
-    callback: Callback | None = None,
+    evaluate: Evaluate | None = None,
     started: float | None = None,
 ) -> SearchTrace:
     """Minimize ``objective`` over the trees it registers; returns the
@@ -260,19 +260,21 @@ def run(
     budget mode the last iteration may end without either, when the
     time runs out between two trees.
 
+    ``evaluate(clock)`` is called on the initial trees, after every new
+    best and every :data:`EVAL_INTERVAL` iterations; kicks are only
+    recorded in the trace.
+
     In budget mode the clock counts from ``started``, a
     ``time.monotonic()`` reading taken by the caller (default: the call
-    of ``run``): trace times are measured from it, and no scan starts
-    once ``time_limit_s`` has passed since it, so a budget already spent
-    yields only the initial record.  A scan that starts just before the
-    limit and finds a new best still calls the improvement callback,
-    which therefore ends past the limit by its own cost (in
-    ``edp.solve_ls``, one extraction and completion).  Under
-    ``iter_cap`` ``started`` is ignored.
+    of ``run``): trace times are measured from it, no scan starts once
+    ``time_limit_s`` has passed since it, and neither does an
+    evaluation after the initial one, so a budget already spent yields
+    only the initial record and evaluation.  Under ``iter_cap``
+    ``started`` is ignored.
 
     The trees are left in their final (not necessarily best) state;
-    callers that need the best solution must record it from the
-    callback, as ``edp.solve_ls`` records its routing.
+    callers that need the best solution must record it in ``evaluate``,
+    as ``edp.solve_ls`` records its routing.
     """
     trees = objective.trees
     rng = random.Random(cfg.seed)
@@ -286,11 +288,14 @@ def run(
     def time_up() -> bool:
         return not capped and time.monotonic() - start >= cfg.time_limit_s
 
+    def evaluate_in_time() -> None:
+        if evaluate is not None and not time_up():
+            evaluate(clock())
+
     trace = SearchTrace()
-    value = objective.value()
-    trace.improvements.append((clock(), value))
-    if callback is not None:
-        callback("initial", 0, value, clock())
+    trace.improvements.append((clock(), objective.value()))
+    if evaluate is not None:
+        evaluate(clock())
 
     kicks = 0
     while not (iteration >= cfg.iter_cap if capped else time_up()):
@@ -303,13 +308,11 @@ def run(
             move = explore_one_move(tree, objective, rng)
             if move is not None:
                 tree.apply(move)
-                objective.commit()
                 value = objective.value()
                 trace.events.append((clock(), "accept:one-move", value))
                 if value < trace.best_value:
                     trace.improvements.append((clock(), value))
-                    if callback is not None:
-                        callback("improvement", iteration, value, clock())
+                    evaluate_in_time()
                 break
         else:  # the scan was exhaustive: a one-move local minimum
             kicks += 1
@@ -319,13 +322,10 @@ def run(
             else:
                 _restart_conflicted(objective, rng)
                 event = "restart"
-            value = objective.value()
-            trace.events.append((clock(), event, value))
-            if callback is not None:
-                callback(event, iteration, value, clock())
+            trace.events.append((clock(), event, objective.value()))
 
-        if callback is not None and iteration % EVAL_INTERVAL == 0:
-            callback("interval", iteration, value, clock())
+        if iteration % EVAL_INTERVAL == 0:
+            evaluate_in_time()
 
     trace.iterations = iteration
     return trace

@@ -24,7 +24,11 @@ Complex moves bundle pairwise independent basic moves; independence is
 prechecked by requiring pairwise edge-disjoint fundamental cycles (each
 removed edge inside its own cycle), which makes the application order
 irrelevant.  The search engine accepts only basic moves; complex moves
-serve the library neighbourhood ``search.explore_two_move``.  Setting
+serve the library neighbourhood ``search.explore_two_move``.  Basic
+moves and bundles return one kind of undo token, and every move query
+runs the same two checks (:meth:`~RootedSpanningTree._replacing_ends`,
+:meth:`~RootedSpanningTree._orient`).  Random trees draw from a
+``random.Random`` the caller owns.  Setting
 :data:`DEBUG_CHECKS` additionally re-verifies order independence and
 full tree invariants after every mutation; the test suite runs with it
 enabled.
@@ -67,21 +71,9 @@ class ComplexMove:
 
 
 @dataclass
-class _BasicUndo:
+class _Undo:
     reoriented: list[tuple[int, int, int]]  # (node, old father node, old father edge)
     version_after: int
-
-
-@dataclass
-class _ComplexUndo:
-    parts: list[_BasicUndo]
-    version_after: int
-
-
-def _as_rng(seed: int | random.Random) -> random.Random:
-    if isinstance(seed, random.Random):
-        return seed
-    return random.Random(seed)
 
 
 class RootedSpanningTree:
@@ -120,16 +112,15 @@ class RootedSpanningTree:
 
     @classmethod
     def random_tree(cls, graph: Graph, source: int, root: int,
-                    rng: int | random.Random) -> "RootedSpanningTree":
+                    rng: random.Random) -> "RootedSpanningTree":
         """Random spanning tree grown breadth-first from the root with
-        shuffled adjacency; deterministic for a fixed seed.
+        adjacency shuffled by ``rng``.
 
         Breadth-first growth makes every father chain hop-minimal, so the
         variable starts on a (randomly chosen) shortest induced path;
-        search moves then only lengthen it when that pays off.  For a
-        ``random.Random`` the draws are those of ``random.shuffle`` (see
-        :meth:`_random_fathers`)."""
-        father_node, father_edge = cls._random_fathers(graph, root, _as_rng(rng))
+        search moves then only lengthen it when that pays off.  The draws
+        are those of ``random.shuffle`` (see :meth:`_random_fathers`)."""
+        father_node, father_edge = cls._random_fathers(graph, root, rng)
         return cls(graph, source, root, father_node, father_edge)
 
     @classmethod
@@ -201,10 +192,10 @@ class RootedSpanningTree:
                     queue.append(w)
         return father_node, father_edge
 
-    def reinit_random(self, rng: int | random.Random) -> None:
+    def reinit_random(self, rng: random.Random) -> None:
         """Replace the whole tree with a fresh random one (used by restarts)."""
         self._father_node, self._father_edge = self._random_fathers(
-            self.graph, self.root, _as_rng(rng))
+            self.graph, self.root, rng)
         self._bump()
         if DEBUG_CHECKS:
             self.validate()
@@ -242,8 +233,7 @@ class RootedSpanningTree:
     def fundamental_cycle(self, e_in: int) -> list[int]:
         """Tree edges on the cycle closed by inserting ``e_in``, ordered
         from e_in's first endpoint to its second."""
-        if not (0 <= e_in < self.graph.edge_count) or self._in_tree(e_in):
-            raise InvalidMoveError(f"edge {e_in} is not a replacing edge")
+        self._replacing_ends(e_in)
         seg_u, seg_v = self._cycle_segments(e_in)
         return seg_u + seg_v[::-1]
 
@@ -280,37 +270,73 @@ class RootedSpanningTree:
 
     # -- mutation ------------------------------------------------------------
 
-    def apply(self, move: BasicMove) -> _BasicUndo:
+    def apply(self, move: BasicMove) -> _Undo:
         """Perform the edge replacement; returns a token for :meth:`undo`.
 
         Only father pointers along the chain from the inserted edge's
         detached endpoint up to the removed edge are touched, so the cost
         is O(cycle length)."""
-        token = self._apply_basic(move)
+        reoriented: list[tuple[int, int, int]] = []
+        self._swap(move, reoriented)
+        self._bump()
         if DEBUG_CHECKS:
             self.validate()
-        return token
+        return _Undo(reoriented, self.version)
 
-    def _apply_basic(self, move: BasicMove) -> _BasicUndo:
-        e_in, e_out = move.e_in, move.e_out
-        if not (0 <= e_in < self.graph.edge_count):
-            raise InvalidMoveError(f"no such edge {e_in}")
-        u, v = self.graph.edges[e_in]
-        if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
-            raise InvalidMoveError(f"edge {e_in} is already a tree edge")
-        seg_u, seg_v = self._cycle_segments(e_in)
-        if e_out in seg_u:
-            inside, outside = u, v
-        elif e_out in seg_v:
-            inside, outside = v, u
-        else:
-            raise InvalidMoveError(
-                f"edge {e_out} is not on the cycle closed by edge {e_in}"
+    def apply_complex(self, cm: ComplexMove) -> _Undo:
+        """Apply all basic moves of an independent bundle atomically.
+
+        Rejected (tree unchanged) when the independence precheck fails.
+        Once it passes no move can fail: the cycles are edge-disjoint and
+        the inserted edges distinct, so after any of the moves each other
+        move's cycle is still in the tree and its removal still on it.
+        Hence the order is irrelevant too; :data:`DEBUG_CHECKS` re-checks
+        that by applying the moves in reverse first.
+        """
+        if not self.independent(cm.moves):
+            raise InvalidMoveError("basic moves are not independent")
+        reoriented: list[tuple[int, int, int]] = []
+        if DEBUG_CHECKS:
+            for m in reversed(cm.moves):
+                self._swap(m, reoriented)
+            expected = self.tree_edges
+            self._restore(reoriented)
+            reoriented.clear()
+        for m in cm.moves:
+            self._swap(m, reoriented)
+        if DEBUG_CHECKS and self.tree_edges != expected:
+            raise AssertionError(
+                "complex move is order dependent despite passing the precheck"
             )
+        self._bump()
+        if DEBUG_CHECKS:
+            self.validate()
+        return _Undo(reoriented, self.version)
 
+    def undo(self, token: _Undo) -> None:
+        """Restore the exact tree state from before the matching apply.
+
+        Tokens must be undone in LIFO order; the version counter keeps
+        increasing (it tracks revisions, not states)."""
+        if token.version_after != self.version:
+            raise InvalidMoveError(
+                "undo token is stale; undo must mirror apply order"
+            )
+        self._restore(token.reoriented)
+        self._bump()
+        if DEBUG_CHECKS:
+            self.validate()
+
+    def _swap(self, move: BasicMove,
+              reoriented: list[tuple[int, int, int]]) -> None:
+        """Swap ``move`` in, recording the old father pointers it changes
+        in ``reoriented``; an invalid move changes nothing.  The caller
+        bumps the revision."""
+        e_in, e_out = move.e_in, move.e_out
+        self._replacing_ends(e_in)
+        inside, outside = self._orient(e_in, e_out)
         # Reverse father pointers from `inside` up to the lower endpoint of
         # e_out; everything else in the detached subtree keeps its father.
-        reoriented: list[tuple[int, int, int]] = []
         cur = inside
         new_father, new_edge = outside, e_in
         while True:
@@ -324,73 +350,11 @@ class RootedSpanningTree:
             new_father, new_edge = cur, old_edge
             cur = old_father
 
-        self._bump()
-        return _BasicUndo(reoriented, self.version)
-
-    def apply_complex(self, cm: ComplexMove) -> _ComplexUndo | _BasicUndo:
-        """Apply all basic moves of an independent bundle atomically.
-
-        Rejected (tree unchanged) when the independence precheck fails.
-        The final tree does not depend on the order the moves are listed.
-        """
-        if len(cm.moves) == 1:
-            return self.apply(cm.moves[0])
-        if not self.independent(cm.moves):
-            raise InvalidMoveError("basic moves are not independent")
-        parts = self._apply_sequence(cm.moves)
-        token = _ComplexUndo(parts, self.version)
-        if DEBUG_CHECKS:
-            self._debug_check_order(cm, token)
-            self.validate()
-        return token
-
-    def _apply_sequence(self, moves: Sequence[BasicMove]) -> list[_BasicUndo]:
-        parts: list[_BasicUndo] = []
-        try:
-            for m in moves:
-                parts.append(self._apply_basic(m))
-        except InvalidMoveError:
-            for part in reversed(parts):
-                self._undo_basic(part)
-            raise
-        return parts
-
-    def _debug_check_order(self, cm: ComplexMove, token: _ComplexUndo) -> None:
-        expected = self.tree_edges
-        for part in reversed(token.parts):
-            self._undo_basic(part)
-        reversed_parts = self._apply_sequence(list(reversed(cm.moves)))
-        if self.tree_edges != expected:
-            raise AssertionError(
-                "complex move is order dependent despite passing the precheck"
-            )
-        for part in reversed(reversed_parts):
-            self._undo_basic(part)
-        token.parts[:] = self._apply_sequence(cm.moves)
-        token.version_after = self.version
-
-    def undo(self, token: _BasicUndo | _ComplexUndo) -> None:
-        """Restore the exact tree state from before the matching apply.
-
-        Tokens must be undone in LIFO order; the version counter keeps
-        increasing (it tracks revisions, not states)."""
-        if token.version_after != self.version:
-            raise InvalidMoveError(
-                "undo token is stale; undo must mirror apply order"
-            )
-        if isinstance(token, _ComplexUndo):
-            for part in reversed(token.parts):
-                self._undo_basic(part)
-        else:
-            self._undo_basic(token)
-        if DEBUG_CHECKS:
-            self.validate()
-
-    def _undo_basic(self, token: _BasicUndo) -> None:
-        for node, old_father, old_edge in reversed(token.reoriented):
+    def _restore(self, reoriented: list[tuple[int, int, int]]) -> None:
+        """Put back the father pointers ``_swap`` recorded, latest first."""
+        for node, old_father, old_edge in reversed(reoriented):
             self._father_node[node] = old_father
             self._father_edge[node] = old_edge
-        self._bump()
 
     # -- simulation ----------------------------------------------------------
 
@@ -402,21 +366,13 @@ class RootedSpanningTree:
         detached endpoint, the inserted edge, and the untouched father
         chain from the other endpoint to the root."""
         e_in, e_out = move.e_in, move.e_out
-        if not (0 <= e_in < self.graph.edge_count):
-            raise InvalidMoveError(f"no such edge {e_in}")
-        u, v = self.graph.edges[e_in]
-        if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
-            raise InvalidMoveError(f"edge {e_in} is already a tree edge")
+        u, v = self._replacing_ends(e_in)
         nodes, path_edges, edge_pos, q, _ = self._path_index()
         j = edge_pos.get(e_out)
         if j is None:
             # Removal off the induced path: the path stays as it is, but the
             # move must still be valid (slow check; cold in practice).
-            seg_u, seg_v = self._cycle_segments(e_in)
-            if e_out not in seg_u and e_out not in seg_v:
-                raise InvalidMoveError(
-                    f"edge {e_out} is not on the cycle closed by edge {e_in}"
-                )
+            self._orient(e_in, e_out)
             return path_edges
         a, b = q[u], q[v]
         if not (min(a, b) <= j < max(a, b)):
@@ -447,6 +403,29 @@ class RootedSpanningTree:
         self.version += 1
         self._path = None
         self._index = None
+
+    def _replacing_ends(self, e_in: int) -> tuple[int, int]:
+        """Endpoints of ``e_in``; raises unless it is a non-tree edge (the
+        range check comes first: ``graph.edges[-1]`` would wrap)."""
+        if not (0 <= e_in < self.graph.edge_count):
+            raise InvalidMoveError(f"no such edge {e_in}")
+        u, v = self.graph.edges[e_in]
+        if self._father_edge[u] == e_in or self._father_edge[v] == e_in:
+            raise InvalidMoveError(f"edge {e_in} is already a tree edge")
+        return u, v
+
+    def _orient(self, e_in: int, e_out: int) -> tuple[int, int]:
+        """``(inside, outside)`` ends of ``e_in``, ``inside`` the one whose
+        father chain holds ``e_out``; raises unless ``e_out`` is on the cycle."""
+        u, v = self.graph.edges[e_in]
+        seg_u, seg_v = self._cycle_segments(e_in)
+        if e_out in seg_u:
+            return u, v
+        if e_out in seg_v:
+            return v, u
+        raise InvalidMoveError(
+            f"edge {e_out} is not on the cycle closed by edge {e_in}"
+        )
 
     def _in_tree(self, e: int) -> bool:
         """Whether the valid edge id ``e`` is a tree edge, i.e. the father

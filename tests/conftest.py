@@ -3,20 +3,9 @@ import pytest
 import treeroute.treevar as treevar
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers",
-        "no_debug_checks: leave the per-mutation tree validation off "
-        "(timed solver comparisons would be distorted by it)",
-    )
-
-
 @pytest.fixture(autouse=True)
-def full_tree_checks(request):
+def full_tree_checks():
     """Run the suite with invariant and order-independence checks on."""
-    if request.node.get_closest_marker("no_debug_checks"):
-        yield
-        return
     old = treevar.DEBUG_CHECKS
     treevar.DEBUG_CHECKS = True
     yield

@@ -131,7 +131,7 @@ def random_tree_variable(rng: random.Random, g: Graph,
         t = rng.randrange(g.node_count)
         while t == s:
             t = rng.randrange(g.node_count)
-    return RootedSpanningTree.random_tree(g, s, t, rng.randrange(2 ** 32))
+    return RootedSpanningTree.random_tree(g, s, t, random.Random(rng.randrange(2 ** 32)))
 
 
 def random_valid_move(rng: random.Random, tree) -> "tuple[int, int] | None":

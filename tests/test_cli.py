@@ -1,6 +1,6 @@
 import pytest
 
-from treeroute import cli
+from treeroute import cli, parse_spec, run_benchmark
 
 
 def _main(*argv):
@@ -89,3 +89,26 @@ def test_unknown_subcommand_exits_2(capsys):
         _main("frobnicate")
     assert exc.value.code == cli.EXIT_USAGE
     assert "invalid choice" in capsys.readouterr().err
+
+
+BENCH_SPEC = "graph=mesh:3x3\nratios=0.5\ninstances=2\niter_cap=3\nsolvers=ls,msga\n"
+
+
+@pytest.mark.parametrize("out,raw_out,raw_written", [
+    ("agg.csv", "runs.csv", "runs.csv"),
+    ("agg.csv", None, "agg.raw.csv"),
+    ("agg", None, "agg.raw.csv"),
+], ids=["raw-out", "csv-suffix", "no-suffix"])
+def test_bench_writes_aggregate_and_raw_csv(out, raw_out, raw_written, tmp_path,
+                                            capsys):
+    expected = run_benchmark(parse_spec(BENCH_SPEC))
+    argv = ["bench", "--spec", _spec(tmp_path, BENCH_SPEC), "--out", tmp_path / out]
+    if raw_out is not None:
+        argv += ["--raw-out", tmp_path / raw_out]
+    capsys.readouterr()
+    assert _main(*argv) == cli.EXIT_OK
+    assert capsys.readouterr().out == expected.aggregate_csv()
+    assert (tmp_path / out).read_text() == expected.aggregate_csv()
+    assert (tmp_path / raw_written).read_text() == expected.raw_csv()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["bench.spec", out, raw_written])

@@ -134,6 +134,25 @@ def test_a_build_that_spends_the_budget_returns_the_initial_extraction(monkeypat
     assert solution.best_time == trace.best_time == pytest.approx(1.0)
 
 
+def test_no_extraction_starts_after_the_time_limit(monkeypatch):
+    # Scans start at 0.0, 0.3, 0.6 and 0.9 s; the last one ends at 1.2 s
+    # with a new violation best, which must not be extracted any more.
+    evaluated_at = []
+    evaluate = edp.evaluate_assignment
+
+    def recorded(g, commodities, paths):
+        evaluated_at.append(search.time.monotonic() - 100.0)
+        return evaluate(g, commodities, paths)
+
+    monkeypatch.setattr(edp, "evaluate_assignment", recorded)
+    _, solution, trace, scan_starts = slow_build_solve(
+        monkeypatch, build_s=0.0, scan_s=0.3)
+    assert scan_starts == pytest.approx([0.0, 0.3, 0.6, 0.9])
+    assert trace.best_time == pytest.approx(1.2)
+    assert evaluated_at and max(evaluated_at) < 1.0
+    assert solution.best_time < 1.0
+
+
 def test_extract_disjoint_is_disjoint_deterministic_and_idempotent():
     rng = random.Random(8)
     for _ in range(40):

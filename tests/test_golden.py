@@ -128,7 +128,7 @@ def test_capped_path_cost_run_digest():
     # the run goes through perturbations and restarts as well.
     rng = random.Random(1)
     g = oracles.random_connected_graph(rng, 24, 40)
-    tree = RootedSpanningTree.random_tree(g, 0, 23, 11)
+    tree = RootedSpanningTree.random_tree(g, 0, 23, random.Random(11))
     objective = compare(PathCost(tree, 0), "<=", 3)
     trace = run(objective, SearchConfig(seed=2, iter_cap=60))
     assert _digest(tree.dump(), trace) == PATH_COST_GOLDEN

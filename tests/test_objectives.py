@@ -60,8 +60,8 @@ class TestPathCost:
 class TestPathEdgeDisjoint:
     def two_tree_setup(self):
         g = generate_mesh(3, 3)
-        t1 = RootedSpanningTree.random_tree(g, 0, 8, rng=1)
-        t2 = RootedSpanningTree.random_tree(g, 2, 6, rng=2)
+        t1 = RootedSpanningTree.random_tree(g, 0, 8, rng=random.Random(1))
+        t2 = RootedSpanningTree.random_tree(g, 2, 6, rng=random.Random(2))
         return g, t1, t2
 
     def test_one_shared_edge(self):
@@ -75,8 +75,8 @@ class TestPathEdgeDisjoint:
 
     def test_disjoint_paths(self):
         g = generate_mesh(3, 3)
-        t1 = RootedSpanningTree.random_tree(g, 0, 2, rng=1)
-        t2 = RootedSpanningTree.random_tree(g, 6, 8, rng=1)
+        t1 = RootedSpanningTree.random_tree(g, 0, 2, rng=random.Random(1))
+        t2 = RootedSpanningTree.random_tree(g, 6, 8, rng=random.Random(1))
         constraint = PathEdgeDisjoint([t1, t2])
         expected = oracles.violation_count([t1.induced_path(), t2.induced_path()])
         assert constraint.violations() == expected

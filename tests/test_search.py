@@ -199,15 +199,15 @@ class TestExplorePairMove:
 
     def test_absent_at_joint_optimum(self):
         g = generate_mesh(3, 3)
-        t_a = RootedSpanningTree.random_tree(g, 0, 2, rng=1)
-        t_b = RootedSpanningTree.random_tree(g, 6, 8, rng=1)
+        t_a = RootedSpanningTree.random_tree(g, 0, 2, rng=random.Random(1))
+        t_b = RootedSpanningTree.random_tree(g, 6, 8, rng=random.Random(1))
         constraint = PathEdgeDisjoint([t_a, t_b])
         assert constraint.violations() == 0
         assert explore_pair_move(t_a, t_b, constraint, random.Random(2), 200) is None
 
     def test_same_tree_rejected(self):
         g = generate_mesh(3, 3)
-        tree = RootedSpanningTree.random_tree(g, 0, 8, rng=0)
+        tree = RootedSpanningTree.random_tree(g, 0, 8, rng=random.Random(0))
         with pytest.raises(ValueError):
             explore_pair_move(tree, tree, PathEdgeDisjoint([tree]), random.Random(0))
 
@@ -222,7 +222,8 @@ def small_model(seed=0, k=4):
         if (s, t) in pairs:
             continue
         pairs.add((s, t))
-        trees.append(RootedSpanningTree.random_tree(g, s, t, rng.randrange(2 ** 32)))
+        trees.append(RootedSpanningTree.random_tree(
+            g, s, t, random.Random(rng.randrange(2 ** 32))))
     return PathEdgeDisjoint(trees)
 
 
@@ -277,7 +278,7 @@ class TestRun:
     @pytest.mark.parametrize("make", [
         lambda: small_model(2, k=6),
         lambda: compare(PathCost(RootedSpanningTree.random_tree(
-            generate_mesh(4, 4), 0, 15, 3), 0), "<=", 5),
+            generate_mesh(4, 4), 0, 15, random.Random(3)), 0), "<=", 5),
     ], ids=["edp", "path-cost"])
     def test_kicks_start_only_at_a_one_move_local_minimum(self, make, monkeypatch):
         objective = make()
@@ -305,12 +306,26 @@ class TestRun:
         run(small_model(13), SearchConfig(time_limit_s=0.3, seed=0))
         assert time.monotonic() - start < 3.0
 
+    def test_evaluations_come_at_the_start_new_bests_and_intervals(self, monkeypatch):
+        monkeypatch.setattr(search, "EVAL_INTERVAL", 5)
+        evaluated = []
+        trace = run(small_model(0, k=6), SearchConfig(iter_cap=23, seed=0),
+                    evaluated.append)
+        bests = [t for t, _ in trace.improvements[1:]]
+        kicks = [t for t, kind, _ in trace.events if not kind.startswith("accept:")]
+        # a new best on an interval is evaluated twice, and kicks off the
+        # intervals are not evaluated at all
+        assert bests == [6.0, 10.0]
+        assert any(t % 5 for t in kicks)
+        assert evaluated == [0.0, 5.0, 6.0, 10.0, 10.0, 15.0, 20.0]
+
     def test_no_scan_starts_after_the_time_limit(self, monkeypatch):
         # Four row commodities on a 4x4 mesh have disjoint shortest paths,
         # so every scan fails; each one takes 0.4 s on a fake clock.
         g = generate_mesh(4, 4)
         objective = PathEdgeDisjoint([
-            RootedSpanningTree.random_tree(g, 4 * r, 4 * r + 3, r) for r in range(4)])
+            RootedSpanningTree.random_tree(g, 4 * r, 4 * r + 3, random.Random(r))
+            for r in range(4)])
         assert objective.value() == 0
         now = [100.0]
         scan_starts = []

@@ -36,39 +36,41 @@ def tree_state(tree):
 
 class TestInit:
     def test_triangle_rooted_at_target(self, triangle):
-        tree = RootedSpanningTree.random_tree(triangle, 0, 2, rng=1)
+        tree = RootedSpanningTree.random_tree(triangle, 0, 2, rng=random.Random(1))
         tree.validate()
         assert tree.root == 2 and tree.source == 0
         assert len(tree.tree_edges) == 2
 
     def test_triangle_tree_is_one_of_the_three(self, triangle):
         for seed in range(20):
-            tree = RootedSpanningTree.random_tree(triangle, 0, 2, rng=seed)
+            tree = RootedSpanningTree.random_tree(
+                triangle, 0, 2, rng=random.Random(seed))
             assert tree.tree_edges in {
                 frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
 
     def test_path_graph_has_single_tree(self):
         g = load_graph("4 3\n0 1\n1 2\n2 3\n")
         for seed in (0, 1, 2):
-            tree = RootedSpanningTree.random_tree(g, 0, 3, rng=seed)
+            tree = RootedSpanningTree.random_tree(g, 0, 3, rng=random.Random(seed))
             assert tree.tree_edges == frozenset({0, 1, 2})
 
     def test_mesh_seeds_vary_but_invariants_hold(self):
         g = generate_mesh(5, 5)
-        trees = [RootedSpanningTree.random_tree(g, 0, 24, rng=s) for s in range(8)]
+        trees = [RootedSpanningTree.random_tree(g, 0, 24, rng=random.Random(s))
+                 for s in range(8)]
         for tree in trees:
             tree.validate()
         assert len({t.tree_edges for t in trees}) > 1
 
     def test_deterministic_for_seed(self):
         g = generate_mesh(4, 4)
-        a = RootedSpanningTree.random_tree(g, 0, 15, rng=7)
-        b = RootedSpanningTree.random_tree(g, 0, 15, rng=7)
+        a = RootedSpanningTree.random_tree(g, 0, 15, rng=random.Random(7))
+        b = RootedSpanningTree.random_tree(g, 0, 15, rng=random.Random(7))
         assert a.tree_edges == b.tree_edges
 
     def test_source_equals_root_rejected(self, triangle):
         with pytest.raises(ValueError):
-            RootedSpanningTree.random_tree(triangle, 2, 2, rng=0)
+            RootedSpanningTree.random_tree(triangle, 2, 2, rng=random.Random(0))
 
     def test_from_edges_must_span(self, triangle):
         with pytest.raises(ValueError):
@@ -151,7 +153,7 @@ class TestEdgeSets:
 
     def test_mesh_counts(self):
         g = generate_mesh(3, 3)
-        tree = RootedSpanningTree.random_tree(g, 0, 8, rng=0)
+        tree = RootedSpanningTree.random_tree(g, 0, 8, rng=random.Random(0))
         assert len(tree.replacing_edges()) == 12 - 8  # m - (n - 1)
 
     def test_triangle_cycle(self, triangle):
@@ -183,7 +185,7 @@ def test_out_of_range_inserted_edge_rejected(which):
     g = generate_mesh(3, 3)
     e_in = {"-1": -1, "-edge_count": -g.edge_count,
             "edge_count": g.edge_count}[which]
-    tree = RootedSpanningTree.random_tree(g, 0, 8, rng=0)
+    tree = RootedSpanningTree.random_tree(g, 0, 8, rng=random.Random(0))
     e_out = tree.induced_path()[0]
     before = tree_state(tree)
     with pytest.raises(InvalidMoveError):
