@@ -58,10 +58,7 @@ class BenchmarkSpec:
             raise ValueError("instances_per_cell must be >= 1")
         ratios = set()
         for r in self.commodity_ratios:
-            try:
-                f = Fraction(r)
-            except ZeroDivisionError:
-                raise ValueError(f"commodity ratio {r} divides by zero") from None
+            f = _ratio(r)
             if not (0 < f <= 1):
                 raise ValueError(f"commodity ratio {r} not in (0, 1]")
             if f in ratios:
@@ -78,8 +75,18 @@ class BenchmarkSpec:
             raise ValueError("jobs must be >= 1")
 
 
+def _ratio(ratio: str) -> Fraction:
+    """The exact value of a commodity ratio as written in a spec."""
+    try:
+        return Fraction(ratio)
+    except ZeroDivisionError:
+        raise ValueError(f"commodity ratio {ratio} divides by zero") from None
+
+
 def parse_spec(text: str) -> BenchmarkSpec:
-    """Parse a line-oriented key=value benchmark spec."""
+    """Parse a line-oriented key=value benchmark spec.
+
+    A value that does not parse is reported with its line and key."""
     kwargs: dict = {"graphs": []}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -90,24 +97,30 @@ def parse_spec(text: str) -> BenchmarkSpec:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key == "graph":
-            kwargs["graphs"].append(value)
-        elif key == "ratios":
-            kwargs["commodity_ratios"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key == "instances":
-            kwargs["instances_per_cell"] = int(value)
-        elif key == "time_limit":
-            kwargs["time_limit_s"] = float(value)
-        elif key == "iter_cap":
-            kwargs["iter_cap"] = int(value)
-        elif key == "seed":
-            kwargs["base_seed"] = int(value)
-        elif key == "solvers":
-            kwargs["solvers"] = [v.strip() for v in value.split(",") if v.strip()]
-        elif key == "jobs":
-            kwargs["jobs"] = int(value)
-        else:
-            raise ValueError(f"spec line {lineno}: unknown key {key!r}")
+        try:
+            if key == "graph":
+                kwargs["graphs"].append(value)
+            elif key == "ratios":
+                ratios = [v.strip() for v in value.split(",") if v.strip()]
+                for r in ratios:
+                    _ratio(r)
+                kwargs["commodity_ratios"] = ratios
+            elif key == "instances":
+                kwargs["instances_per_cell"] = int(value)
+            elif key == "time_limit":
+                kwargs["time_limit_s"] = float(value)
+            elif key == "iter_cap":
+                kwargs["iter_cap"] = int(value)
+            elif key == "seed":
+                kwargs["base_seed"] = int(value)
+            elif key == "solvers":
+                kwargs["solvers"] = [v.strip() for v in value.split(",") if v.strip()]
+            elif key == "jobs":
+                kwargs["jobs"] = int(value)
+            else:
+                raise ValueError(f"unknown key {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"spec line {lineno}: {key}={value}: {exc}") from None
     return BenchmarkSpec(**kwargs)
 
 

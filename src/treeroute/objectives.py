@@ -18,14 +18,16 @@ does not call it).  Move deltas come from the closures that
 trees) return.
 
 :meth:`Differentiable.may_improve_fn` lets a scan skip the deltas that
-cannot be negative.  It returns a predicate over the path edges a
-one-move would take off a tree's induced path; the predicate may answer
-False only when no one-move that takes exactly those edges off the path
-lowers the value, so a scan that evaluates a move only where it answers
-True finds every strict improvement it would find without it.  The base
-class (and so :class:`PathCost` and every expression) always answers
-True; :class:`PathEdgeDisjoint` answers True iff one of the edges is
-shared with another path.
+cannot be negative.  It returns a predicate over a one-move's inserted
+edge and the stretch of path edges it would take off a tree's induced
+path; the predicate may answer False only when no one-move that inserts
+that edge and takes exactly those edges off the path lowers the value,
+so a scan that evaluates a move only where it answers True finds every
+strict improvement it would find without it.  The base class (and so
+:class:`PathCost` and every expression) always answers True;
+:class:`PathEdgeDisjoint` answers True iff the stretch holds more
+shared edges than the inserted edge would newly share (one if another
+path uses it, zero otherwise), in O(1) per query.
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
@@ -106,13 +108,15 @@ class Differentiable:
         return delta
 
     def may_improve_fn(self, tree: RootedSpanningTree):
-        """``removed -> bool``: False only if no one-move on ``tree``
-        that takes the path edges ``removed`` off its induced path
-        lowers ``value()``.  Same validity rule as
-        :meth:`move_delta_fn`.  The base class cannot tell and answers
-        True."""
+        """``(e_in, removed) -> bool``: False only if no one-move on
+        ``tree`` that inserts ``e_in`` and takes the path edges
+        ``removed`` off its induced path lowers ``value()``.
+        ``removed`` is a non-empty contiguous stretch of the induced
+        path in path order, as :meth:`RootedSpanningTree.preferred_moves`
+        lists it.  Same validity rule as :meth:`move_delta_fn`.  The
+        base class cannot tell and answers True."""
         self._validated_refresh((tree,))
-        return lambda removed: True
+        return lambda e_in, removed: True
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
@@ -278,17 +282,42 @@ class PathEdgeDisjoint(Differentiable):
         return any(loads[e] >= 2 for e in edges)
 
     def may_improve_fn(self, tree: RootedSpanningTree):
-        """``removed -> bool``: whether one of the path edges ``removed``
-        is shared with another path.
+        """``(e_in, removed) -> bool``: whether the stretch ``removed``
+        holds more shared edges (load 2 or more) than ``e_in`` would
+        newly share, which is one if another path uses ``e_in`` and
+        zero otherwise.
 
         Sound: a one-move that takes the stretch ``removed`` off the
         induced path puts back only edges that were off it (father-chain
-        edges and the inserted edge), so its delta is the number of
-        added edges with load 1 or more minus the number of removed
-        edges with load 2 or more.  The first term is never negative,
-        so with no shared edge in ``removed`` the delta is not either."""
+        edges and the inserted edge ``e_in``), so its delta is the
+        number of added edges with load 1 or more minus the number of
+        removed edges with load 2 or more.  ``e_in`` alone makes the
+        first term at least ``[load(e_in) >= 1]``, so the delta can be
+        negative only where the predicate holds.
+
+        One walk along the path builds a position map and a prefix
+        count of its shared edges, so each query costs O(1); a path
+        with no shared edge gets a predicate that always answers
+        False."""
         self._validated_refresh((tree,))
-        return self._shares_an_edge
+        loads = self.loads
+        path = tree.induced_path()
+        # shared[i]: shared edges among path[:i]
+        shared = [0]
+        count = 0
+        for e in path:
+            if loads[e] >= 2:
+                count += 1
+            shared.append(count)
+        if not count:
+            return lambda e_in, removed: False
+        pos = {e: i for i, e in enumerate(path)}
+
+        def may_improve(e_in: int, removed: Sequence[int]) -> bool:
+            i = pos[removed[0]]
+            return shared[i + len(removed)] - shared[i] > (loads[e_in] >= 1)
+
+        return may_improve
 
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""

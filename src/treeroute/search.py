@@ -14,10 +14,13 @@ local minimum; the engine then kicks at once, alternating between a
 small random perturbation of the conflicted trees and a
 re-initialization of them.  The scan evaluates a delta only where the
 objective's :meth:`~treeroute.objectives.Differentiable.may_improve_fn`
-says the removed path stretch could lower the value (for edge
-disjointness: where it holds a shared edge); it still draws a removal
-for every inserted edge, so the filter changes neither the rng stream
-nor any decision.
+says the inserted edge and the removed path stretch could lower the
+value (for edge disjointness: where the stretch holds more shared edges
+than the inserted edge would newly share); it still draws a removal for
+every inserted edge, so the filter changes neither the rng stream nor
+any decision.  The scan's shuffle and removal draws are written out
+inline and make exactly the ``getrandbits`` calls that
+``random.shuffle`` and ``random.choice`` make for ``random.Random``.
 
 The client sees the search through one hook, ``evaluate(clock)`` (see
 :func:`run`).  The search never calls ``objective.commit()``: the next
@@ -33,10 +36,11 @@ Runs are deterministic for a fixed seed.  With ``iter_cap`` set the
 wall clock is ignored and trace timestamps are iteration numbers, which
 makes two runs of the same configuration byte-identical; otherwise the
 run stops after ``time_limit_s`` seconds on a monotonic clock, checked
-before every tree's scan, and timestamps are seconds.  The budget clock
-starts at the ``started`` time the caller hands to :func:`run`, or at
-the call of :func:`run` when none is given; ``edp.solve_ls`` hands over
-its own entry time, so building the model is charged to the budget.
+before every tree's scan and every tree's kick, and timestamps are
+seconds.  The budget clock starts at the ``started`` time the caller
+hands to :func:`run`, or at the call of :func:`run` when none is given;
+``edp.solve_ls`` hands over its own entry time, so building the model
+is charged to the budget.
 """
 
 from __future__ import annotations
@@ -116,19 +120,37 @@ def explore_one_move(
     per inserted edge and picks a removal among the equivalent ones.
 
     That delta is evaluated only when ``objective.may_improve_fn(tree)``
-    holds for the removed stretch; elsewhere it cannot be negative.  The
-    removal is drawn for every inserted edge all the same, so ``rng``
-    advances exactly as in a scan that evaluates every delta, and the
-    returned move is the same.
+    holds for the inserted edge and the removed stretch; elsewhere it
+    cannot be negative.  The removal is drawn for every inserted edge
+    all the same, so ``rng`` advances exactly as in a scan that
+    evaluates every delta, and the returned move is the same.
+
+    Both draws are written out inline, as ``_random_fathers`` in
+    ``treevar`` does: the shuffle is CPython's Fisher-Yates and each
+    removal is ``random.choice``'s ``getrandbits`` of
+    ``len(outs).bit_length()`` bits, redrawn while out of range.  For
+    ``random.Random`` these are exactly the calls ``random.shuffle`` and
+    ``random.choice`` make; ``tests/test_search.py`` pins the equality
+    against a scan that calls them.
     """
     pairs = list(tree.preferred_moves())
-    rng.shuffle(pairs)
+    getrandbits = rng.getrandbits
+    for i in range(len(pairs) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        pairs[i], pairs[j] = pairs[j], pairs[i]
     delta = objective.move_delta_fn(tree)
     may_improve = objective.may_improve_fn(tree)
     for e_in, outs in pairs:
-        e_out = rng.choice(outs)
-        if may_improve(outs):
-            move = BasicMove(e_in, e_out)
+        n = len(outs)
+        bits = n.bit_length()
+        r = getrandbits(bits)
+        while r >= n:
+            r = getrandbits(bits)
+        if may_improve(e_in, outs):
+            move = BasicMove(e_in, outs[r])
             if delta(move) < 0:
                 return move
     return None
@@ -199,9 +221,10 @@ def explore_pair_move(
     return None
 
 
-def _perturb(objective: Differentiable, rng: random.Random) -> None:
+def _perturb(objective: Differentiable, rng: random.Random,
+             time_up: Callable[[], bool]) -> None:
     """Apply a few random accepted basic moves per perturbed tree; the
-    small diversification kick.
+    small diversification kick.  No tree is kicked once ``time_up()``.
 
     Only trees currently contributing to the guiding value are kicked
     (kicking every tree would amount to a full restart); for objectives
@@ -214,6 +237,8 @@ def _perturb(objective: Differentiable, rng: random.Random) -> None:
     if not targets:
         targets = rng.sample(objective.trees, min(2, len(objective.trees)))
     for tree in targets:
+        if time_up():
+            break
         for _ in range(PERTURBATION_MOVES):
             choices = tree.preferred_moves()
             if not choices:
@@ -231,8 +256,10 @@ def _perturb(objective: Differentiable, rng: random.Random) -> None:
             tree.apply(picked)
 
 
-def _restart_conflicted(objective: Differentiable, rng: random.Random) -> None:
-    """Re-initialize every tree contributing to the guiding value.
+def _restart_conflicted(objective: Differentiable, rng: random.Random,
+                        time_up: Callable[[], bool]) -> None:
+    """Re-initialize every tree contributing to the guiding value; no
+    tree is re-initialized once ``time_up()``.
 
     Trees that cause no violations keep their state (the clean backbone
     is worth protecting); the contested ones get fresh random trees and
@@ -243,6 +270,8 @@ def _restart_conflicted(objective: Differentiable, rng: random.Random) -> None:
     if not targets:
         targets = [rng.choice(objective.trees)]
     for tree in targets:
+        if time_up():
+            break
         tree.reinit_random(rng)
 
 
@@ -267,10 +296,10 @@ def run(
     In budget mode the clock counts from ``started``, a
     ``time.monotonic()`` reading taken by the caller (default: the call
     of ``run``): trace times are measured from it, no scan starts once
-    ``time_limit_s`` has passed since it, and neither does an
-    evaluation after the initial one, so a budget already spent yields
-    only the initial record and evaluation.  Under ``iter_cap``
-    ``started`` is ignored.
+    ``time_limit_s`` has passed since it, and neither does a kick on a
+    further tree nor an evaluation after the initial one, so a budget
+    already spent yields only the initial record and evaluation.  Under
+    ``iter_cap`` ``started`` is ignored.
 
     The trees are left in their final (not necessarily best) state;
     callers that need the best solution must record it in ``evaluate``,
@@ -317,10 +346,10 @@ def run(
         else:  # the scan was exhaustive: a one-move local minimum
             kicks += 1
             if kicks % 2 == 1:
-                _perturb(objective, rng)
+                _perturb(objective, rng, time_up)
                 event = "perturbation"
             else:
-                _restart_conflicted(objective, rng)
+                _restart_conflicted(objective, rng, time_up)
                 event = "restart"
             trace.events.append((clock(), event, objective.value()))
 

@@ -67,10 +67,22 @@ BAD_INPUT = {
         _spec(d, "graph=mesh:3x3\ngraph=mesh:3x3\nratios=0.5\ninstances=1\n"
                  "iter_cap=1\n"),
         "--out", d / "o.csv"),
+    "non-integer spec instances": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=x\n"),
+        "--out", d / "o.csv"),
+    "non-numeric spec ratio": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=abc\n"),
+        "--out", d / "o.csv"),
     "nan spec time limit": lambda g, c, d: (
         "bench", "--spec",
         _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\ntime_limit=nan\n"),
         "--out", d / "o.csv"),
+}
+
+# what the message must name, for the cases that pin it
+BAD_INPUT_NAMES = {
+    "non-integer spec instances": "spec line 3: instances=x: ",
+    "non-numeric spec ratio": "spec line 2: ratios=abc: ",
 }
 
 
@@ -81,6 +93,7 @@ def test_bad_input_exits_1_with_message(case, instance, tmp_path, capsys):
     assert _main(*argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert BAD_INPUT_NAMES.get(case, "") in err
     assert "Traceback" not in err
 
 

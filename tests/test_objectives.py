@@ -201,10 +201,10 @@ class TestMayImprove:
         trees = [oracles.random_tree_variable(rng, g) for _ in range(4)]
         tree = trees[0]
         constraint = PathEdgeDisjoint(trees)
-        outs_list = [outs for _, outs in tree.preferred_moves()]
+        pairs = tree.preferred_moves()
         own = constraint.may_improve_fn(tree)
-        assert any(own(outs) for outs in outs_list)
-        assert not all(own(outs) for outs in outs_list)
+        assert any(own(e_in, outs) for e_in, outs in pairs)
+        assert not all(own(e_in, outs) for e_in, outs in pairs)
         kinds = [
             PathCost(tree, 0),
             compare(PathCost(tree, 0), "<=", 2),
@@ -214,7 +214,7 @@ class TestMayImprove:
         ]
         for d in kinds:
             may_improve = d.may_improve_fn(tree)
-            assert all(may_improve(outs) for outs in outs_list)
+            assert all(may_improve(e_in, outs) for e_in, outs in pairs)
 
     def test_unregistered_tree_rejected(self):
         g = load_graph("3 3\n0 1 1\n1 2 1\n0 2 1\n")
@@ -230,8 +230,9 @@ class TestMayImprove:
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_disjointness_predicate_is_sound(seed):
     # A preferred move takes the stretch ``outs`` off the path and adds
-    # only edges that were off it, so with no shared edge in ``outs``
-    # the violation cannot fall, whichever removal is drawn.
+    # ``e_in`` plus father-chain edges that were off it, so its delta is
+    # at least [load(e_in) >= 1] minus the shared edges in ``outs``,
+    # whichever removal is drawn.
     rng = random.Random(seed)
     g = oracles.random_connected_graph(rng, rng.randint(4, 10), rng.randint(1, 10))
     trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
@@ -246,11 +247,20 @@ def test_disjointness_predicate_is_sound(seed):
     for tree in trees:
         may_improve = constraint.may_improve_fn(tree)
         delta = constraint.move_delta_fn(tree)
-        assert may_improve(tree.induced_path()) == any(t is tree for t in conflicted)
-        for e_in, outs in tree.preferred_moves():
-            assert may_improve(outs) == any(loads[e] >= 2 for e in outs)
-            if not may_improve(outs):
+        assert any(loads[e] >= 2 for e in tree.induced_path()) == \
+            any(t is tree for t in conflicted)
+        stretches = dict(tree.preferred_moves())
+        for e_in, outs in stretches.items():
+            shared = sum(loads[e] >= 2 for e in outs)
+            assert may_improve(e_in, outs) == (shared > (loads[e_in] >= 1))
+            if not may_improve(e_in, outs):
                 assert all(delta(BasicMove(e_in, e_out)) >= 0 for e_out in outs)
+        # every strictly improving move, enumerated over all cycles
+        for e_in in tree.replacing_edges():
+            for e_out in oracles.cycle_of(g, tree.tree_edges, e_in):
+                if delta(BasicMove(e_in, e_out)) < 0:
+                    assert e_out in stretches.get(e_in, ())
+                    assert may_improve(e_in, stretches[e_in])
 
 
 class TestReplaceEdgeDeltaMulti:

@@ -161,6 +161,41 @@ def test_filtered_scan_draws_and_decides_as_the_reference(seed, kind):
             tree.apply(found)
 
 
+def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
+        monkeypatch):
+    # Tree a's path 0-1-2 (edges 0, 1) shares edge 1 with tree b's path
+    # 0-2-1 (edges 2, 1).  Inserting edge 2 takes (0, 1) off a's path,
+    # one shared edge, but newly shares edge 2: delta 0, never
+    # evaluated.  Inserting edge 4 takes (1,) off for unused edges 3
+    # and 4: delta -1.
+    g = load_graph("4 5\n0 1\n1 2\n0 2\n1 3\n3 2\n")
+    t_a = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 3])
+    t_b = RootedSpanningTree.from_edges(g, 0, 1, [2, 1, 4])
+    constraint = PathEdgeDisjoint([t_a, t_b])
+    assert t_a.preferred_moves() == ((2, (0, 1)), (4, (1,)))
+    evaluated = []
+    delta = constraint._delta
+
+    def counted(pairs):
+        evaluated.append(pairs[0][1].e_in)
+        return delta(pairs)
+
+    monkeypatch.setattr(constraint, "_delta", counted)
+    reference_evaluated = set()
+    for seed in range(8):
+        scan_rng, reference_rng = random.Random(seed), random.Random(seed)
+        evaluated.clear()
+        found = explore_one_move(t_a, constraint, scan_rng)
+        assert evaluated == [4]
+        evaluated.clear()
+        expected = oracles.explore_one_move_reference(
+            t_a, constraint, reference_rng)
+        reference_evaluated.update(evaluated)
+        assert found == expected == BasicMove(4, 1)
+        assert scan_rng.getstate() == reference_rng.getstate()
+    assert reference_evaluated == {2, 4}
+
+
 class TestExploreTwoMove:
     def test_finds_pair_on_plateau(self):
         _, tree, objective = plateau_instance()
@@ -285,12 +320,12 @@ class TestRun:
         kicks = []
 
         def checked(kick):
-            def at_minimum(obj, rng):
+            def at_minimum(obj, rng, time_up):
                 for tree in obj.trees:
                     delta = obj.move_delta_fn(tree)
                     assert all(delta(m) >= 0 for m in all_preferred_moves(tree))
                 kicks.append(kick.__name__)
-                kick(obj, rng)
+                kick(obj, rng, time_up)
             return at_minimum
 
         monkeypatch.setattr(search, "_perturb", checked(search._perturb))
@@ -341,6 +376,22 @@ class TestRun:
         assert scan_starts and max(scan_starts) < 1.0
         assert trace.iterations == 1 and trace.events == []
 
+    @pytest.mark.parametrize("kick", ["_perturb", "_restart_conflicted"])
+    def test_a_kick_touches_no_tree_once_the_time_is_up(self, kick):
+        # the limit passes after the first kicked tree
+        objective = small_model(0, k=6)
+        assert len(objective.conflicted_trees()) >= 2
+        checks = []
+
+        def time_up():
+            checks.append(None)
+            return len(checks) > 1
+
+        versions = [t.version for t in objective.trees]
+        getattr(search, kick)(objective, random.Random(0), time_up)
+        changed = [t.version != v for t, v in zip(objective.trees, versions)]
+        assert sum(changed) == 1 and len(checks) == 2
+
     def test_moves_come_from_preferred_sets_and_change_paths(self, monkeypatch):
         # every move run() applies on an accept is in its tree's preferred
         # set and changes that tree's induced path; kick moves are skipped
@@ -356,10 +407,10 @@ class TestRun:
                                 tree.simulate_path(move) != tree.induced_path()))
             return apply(tree, move)
 
-        def flagged_perturb(obj, rng):
+        def flagged_perturb(obj, rng, time_up):
             kicking.append(True)
             try:
-                perturb(obj, rng)
+                perturb(obj, rng, time_up)
             finally:
                 kicking.pop()
 
