@@ -3,19 +3,20 @@
 Every class here is a *differentiable*: it maintains a value (for
 constraints, a violation count that is zero exactly when the constraint
 holds) over one or more registered tree variables, and it answers
-"what would this edge-replacement move do to my value" queries without
-mutating any tree.  All arithmetic is exact integers, so a delta query
-must equal value-after minus value-before to the last bit; the test
-suite holds every class to that with apply/recompute/undo oracles.
+"what would this edge-replacement move do to my value" queries.  All
+arithmetic is exact integers, so a delta query must equal value-after
+minus value-before to the last bit; the test suite holds every class
+to that with apply/recompute/undo oracles.
 
 Caches are keyed by the trees' revision counters and are refreshed
 lazily on access, so callers may mutate a tree and simply query again;
 :meth:`Differentiable.commit` forces the refresh eagerly, for callers
 that want to pay it at a moment of their choosing (the search engine
-does not call it).  Move deltas come from the closures that
-:meth:`Differentiable.move_delta_fn` (one tree) and
-:meth:`Differentiable.multi_delta_fn` (one move on each of several
-trees) return.
+does not call it).  There is one delta hook, ``_delta(tree, move)``
+for a single move, which :meth:`Differentiable.move_delta_fn` returns
+as a closure per tree.  A joint query (:meth:`Differentiable.multi_delta_fn`,
+one move on each of several trees) applies the moves, reads the value,
+undoes them and re-syncs the caches.
 
 :meth:`Differentiable.may_improve_fn` lets a scan skip the deltas that
 cannot be negative.  It returns a predicate over a one-move's inserted
@@ -46,8 +47,6 @@ from typing import Iterable, Sequence
 
 from .treevar import BasicMove, RootedSpanningTree
 
-MovePairs = Sequence[tuple[RootedSpanningTree, BasicMove]]
-
 
 class Differentiable:
     """Base class: a value over registered trees plus move-delta queries."""
@@ -60,12 +59,13 @@ class Differentiable:
         if len(self._index) != len(self.trees):
             raise ValueError("each tree may be registered once")
 
-    # subclasses implement _refresh() and _delta(pairs)
+    # subclasses implement _refresh(), _current() and _delta(tree, move):
+    # the change of value if move were applied to tree (0 if unwatched)
 
     def _refresh(self) -> None:
         raise NotImplementedError
 
-    def _delta(self, pairs: MovePairs) -> int:
+    def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
         raise NotImplementedError
 
     def _current(self) -> int:
@@ -84,26 +84,19 @@ class Differentiable:
         """Bring caches in sync with the trees' current state."""
         self._refresh()
 
-    def is_registered(self, tree: RootedSpanningTree) -> bool:
-        return id(tree) in self._index
-
-    def _validated_refresh(self, trees: Sequence[RootedSpanningTree]) -> None:
-        if len({id(t) for t in trees}) != len(trees):
-            raise ValueError(
-                "at most one move per tree; use a complex move for several")
-        for tree in trees:
-            if not self.is_registered(tree):
-                raise ValueError("tree is not registered with this differentiable")
+    def _validated_refresh(self, tree: RootedSpanningTree) -> None:
+        if id(tree) not in self._index:
+            raise ValueError("tree is not registered with this differentiable")
         self._refresh()
 
     def move_delta_fn(self, tree: RootedSpanningTree):
         """``move -> exact change of value()`` if ``move`` were applied to
         ``tree``.  Validates and refreshes once, so a neighborhood scan
         pays that only once; valid while no registered tree is mutated."""
-        self._validated_refresh((tree,))
+        self._validated_refresh(tree)
 
         def delta(move: BasicMove) -> int:
-            return self._delta(((tree, move),))
+            return self._delta(tree, move)
 
         return delta
 
@@ -115,17 +108,32 @@ class Differentiable:
         path in path order, as :meth:`RootedSpanningTree.preferred_moves`
         lists it.  Same validity rule as :meth:`move_delta_fn`.  The
         base class cannot tell and answers True."""
-        self._validated_refresh((tree,))
+        self._validated_refresh(tree)
         return lambda e_in, removed: True
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
-        each of the distinct ``trees``; same validity rule as
-        :meth:`move_delta_fn`."""
-        self._validated_refresh(trees)
+        each of the distinct registered ``trees``.  A query mutates the
+        trees and restores them: apply, read :meth:`value`, undo latest
+        first (also after an ``InvalidMoveError``) and refresh, so
+        :meth:`move_delta_fn` closures taken before it stay valid."""
+        if len({id(t) for t in trees}) != len(trees):
+            raise ValueError(
+                "at most one move per tree; use a complex move for several")
+        for tree in trees:
+            self._validated_refresh(tree)
 
         def delta(moves: Sequence[BasicMove]) -> int:
-            return self._delta(tuple(zip(trees, moves)))
+            before = self.value()
+            applied = []
+            try:
+                for tree, move in zip(trees, moves):
+                    applied.append((tree, tree.apply(move)))
+                return self.value() - before
+            finally:
+                for tree, token in reversed(applied):
+                    tree.undo(token)
+                self._refresh()
 
         return delta
 
@@ -164,7 +172,7 @@ class _Const(Differentiable):
     def _current(self) -> int:
         return self._value
 
-    def _delta(self, pairs: MovePairs) -> int:
+    def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
         return 0
 
 
@@ -196,11 +204,10 @@ class PathCost(Differentiable):
     def _current(self) -> int:
         return self._value
 
-    def _delta(self, pairs: MovePairs) -> int:
-        for tree, move in pairs:
-            if tree is self.tree:
-                return self._cost(tree.simulate_path(move)) - self._value
-        return 0
+    def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
+        if tree is not self.tree:
+            return 0
+        return self._cost(tree.simulate_path(move)) - self._value
 
 
 class PathEdgeDisjoint(Differentiable):
@@ -251,35 +258,24 @@ class PathEdgeDisjoint(Differentiable):
     def _current(self) -> int:
         return self._violation
 
-    def _delta(self, pairs: MovePairs) -> int:
-        overlay: dict[int, int] = {}
+    def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
+        i = self._index.get(id(tree))
+        if i is None:  # a tree this constraint does not watch
+            return 0
+        old_set = self._cached_sets[i]
+        if move.e_out not in old_set:
+            return 0
+        new_set = frozenset(tree.simulate_path(move))
+        # the removed and added edge sets are disjoint: no load changes twice
         loads = self.loads
-        overlay_get = overlay.get
         delta = 0
-        for tree, move in pairs:
-            i = self._index.get(id(tree))
-            if i is None:  # move on a tree this constraint does not watch
-                continue
-            old_set = self._cached_sets[i]
-            if move.e_out not in old_set:
-                continue
-            new_set = frozenset(tree.simulate_path(move))
-            for e in old_set - new_set:
-                l = overlay_get(e, loads[e])
-                if l >= 2:
-                    delta -= 1
-                overlay[e] = l - 1
-            for e in new_set - old_set:
-                l = overlay_get(e, loads[e])
-                if l >= 1:
-                    delta += 1
-                overlay[e] = l + 1
+        for e in old_set - new_set:
+            if loads[e] >= 2:
+                delta -= 1
+        for e in new_set - old_set:
+            if loads[e] >= 1:
+                delta += 1
         return delta
-
-    def _shares_an_edge(self, edges: Iterable[int]) -> bool:
-        """Whether some edge in ``edges`` carries two or more paths."""
-        loads = self.loads
-        return any(loads[e] >= 2 for e in edges)
 
     def may_improve_fn(self, tree: RootedSpanningTree):
         """``(e_in, removed) -> bool``: whether the stretch ``removed``
@@ -299,7 +295,7 @@ class PathEdgeDisjoint(Differentiable):
         count of its shared edges, so each query costs O(1); a path
         with no shared edge gets a predicate that always answers
         False."""
-        self._validated_refresh((tree,))
+        self._validated_refresh(tree)
         loads = self.loads
         path = tree.induced_path()
         # shared[i]: shared edges among path[:i]
@@ -322,9 +318,10 @@ class PathEdgeDisjoint(Differentiable):
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""
         self._refresh()
+        loads = self.loads
         return [
             tree for i, tree in enumerate(self.trees)
-            if self._shares_an_edge(self._cached_sets[i])
+            if any(loads[e] >= 2 for e in self._cached_sets[i])
         ]
 
 
@@ -375,9 +372,10 @@ class _Expression(Differentiable):
     def _current(self) -> int:
         return self.f(self.a._current(), self.b._current())
 
-    def _delta(self, pairs: MovePairs) -> int:
+    def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
         va, vb = self.a._current(), self.b._current()
-        after = self.f(va + self.a._delta(pairs), vb + self.b._delta(pairs))
+        after = self.f(va + self.a._delta(tree, move),
+                       vb + self.b._delta(tree, move))
         return after - self.f(va, vb)
 
 

@@ -264,10 +264,10 @@ def _restart_conflicted(objective: Differentiable, rng: random.Random,
     Trees that cause no violations keep their state (the clean backbone
     is worth protecting); the contested ones get fresh random trees and
     with them fresh shortest induced paths.  Objectives that cannot name
-    contributors fall back to one random tree.
+    contributors fall back to one random tree, if they have any.
     """
     targets = objective.conflicted_trees()
-    if not targets:
+    if not targets and objective.trees:
         targets = [rng.choice(objective.trees)]
     for tree in targets:
         if time_up():

@@ -254,11 +254,10 @@ class RootedSpanningTree:
     def independent(self, moves: Sequence[BasicMove]) -> bool:
         """Sufficient precheck for move independence in the current tree:
         pairwise edge-disjoint fundamental cycles, each removed edge inside
-        its own cycle."""
+        its own cycle.  Raises :class:`InvalidMoveError` for an inserted
+        edge that is not a non-tree edge, as every move query does."""
         cycles: list[set[int]] = []
         for m in moves:
-            if 0 <= m.e_in < self.graph.edge_count and self._in_tree(m.e_in):
-                return False
             cycle = set(self.fundamental_cycle(m.e_in))
             if m.e_out not in cycle:
                 return False
@@ -426,12 +425,6 @@ class RootedSpanningTree:
         raise InvalidMoveError(
             f"edge {e_out} is not on the cycle closed by edge {e_in}"
         )
-
-    def _in_tree(self, e: int) -> bool:
-        """Whether the valid edge id ``e`` is a tree edge, i.e. the father
-        edge of one of its endpoints."""
-        u, v = self.graph.edges[e]
-        return self._father_edge[u] == e or self._father_edge[v] == e
 
     def _path_index(self):
         """Cached per revision: (nodes, path_edges, edge_pos, q, preferred).

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from treeroute import (
     BasicMove,
+    InvalidMoveError,
     PathCost,
     PathEdgeDisjoint,
     RootedSpanningTree,
@@ -315,6 +316,39 @@ class TestReplaceEdgeDeltaMulti:
             if joint != singles:
                 found_interaction = True
         assert found_interaction, "expected at least one interacting pair"
+
+    def crossing_pair(self):
+        # t1 runs 0-1-2 and t2 runs 0-1: both use edge 0, violation 1;
+        # the move (3, 0) reroutes either tree via 0-3-1
+        g = load_graph("4 4\n0 1\n1 2\n0 3\n3 1\n")
+        t1 = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 2])
+        t2 = RootedSpanningTree.from_edges(g, 0, 1, [0, 1, 2])
+        return t1, t2, PathEdgeDisjoint([t1, t2])
+
+    def test_an_invalid_second_move_raises_and_restores_both_trees(self):
+        t1, t2, c = self.crossing_pair()
+        before = [(t.tree_edges, t.induced_path()) for t in (t1, t2)]
+        value = c.value()
+        delta = c.multi_delta_fn((t1, t2))
+        with pytest.raises(InvalidMoveError):
+            # edge 1 is not on the cycle that edge 3 closes in t2
+            delta((BasicMove(3, 0), BasicMove(3, 1)))
+        assert [(t.tree_edges, t.induced_path()) for t in (t1, t2)] == before
+        assert c.value() == value
+
+    def test_move_delta_closures_survive_a_joint_query(self):
+        t1, t2, c = self.crossing_pair()
+        closures = [
+            (c.move_delta_fn(t), [BasicMove(e_in, e_out)
+                                  for e_in in t.replacing_edges()
+                                  for e_out in t.fundamental_cycle(e_in)])
+            for t in (t1, t2)]
+        expected = [[delta(m) for m in moves] for delta, moves in closures]
+        assert -1 in expected[0]
+        joint = c.multi_delta_fn((t1, t2))((BasicMove(3, 0), BasicMove(3, 0)))
+        assert joint == 1  # both rerouted: edges 2 and 3 now shared
+        assert [[delta(m) for m in moves] for delta, moves in closures] == expected
+        assert c.violations() == 1
 
 
 class TestCombineCompare:

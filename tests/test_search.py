@@ -176,9 +176,9 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
     evaluated = []
     delta = constraint._delta
 
-    def counted(pairs):
-        evaluated.append(pairs[0][1].e_in)
-        return delta(pairs)
+    def counted(tree, move):
+        evaluated.append(move.e_in)
+        return delta(tree, move)
 
     monkeypatch.setattr(constraint, "_delta", counted)
     reference_evaluated = set()
@@ -333,6 +333,19 @@ class TestRun:
                             checked(search._restart_conflicted))
         run(objective, SearchConfig(iter_cap=100, seed=1))
         assert "_perturb" in kicks and "_restart_conflicted" in kicks
+
+    @pytest.mark.parametrize("make", [
+        lambda: PathEdgeDisjoint([]),
+        lambda: compare(3, "<=", 2),
+    ], ids=["edp", "constant"])
+    def test_an_objective_with_no_trees_kicks_without_a_tree(self, make):
+        objective = make()
+        value = objective.value()
+        trace = run(objective, SearchConfig(iter_cap=3, seed=0))
+        assert trace.iterations == 3
+        assert [(kind, v) for _, kind, v in trace.events] == [
+            ("perturbation", value), ("restart", value),
+            ("perturbation", value)]
 
     def test_wall_clock_budget_respected(self):
         import time

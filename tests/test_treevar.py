@@ -333,6 +333,18 @@ class TestComplexMoves:
             tree.apply_complex(cm)
         assert tree_state(tree) == before
 
+    def test_inserted_tree_edge_rejected(self):
+        g = load_graph("4 5\n0 1\n1 2\n2 3\n0 2\n1 3\n")
+        tree = make_tree(g, 0, 3, [0, 1, 2])
+        before = tree_state(tree)
+        # edge 2 is a tree edge, alone and after the valid move (3, 0)
+        for moves in ((BasicMove(2, 1),), (BasicMove(3, 0), BasicMove(2, 1))):
+            with pytest.raises(InvalidMoveError, match="already a tree edge"):
+                tree.independent(moves)
+            with pytest.raises(InvalidMoveError, match="already a tree edge"):
+                tree.apply_complex(ComplexMove(moves))
+            assert tree_state(tree) == before
+
     def test_overlapping_cycles_rejected(self):
         g = load_graph("4 5\n0 1\n1 2\n2 3\n0 2\n1 3\n")
         tree = make_tree(g, 0, 3, [0, 1, 2])
