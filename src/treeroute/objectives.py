@@ -25,10 +25,15 @@ path; the predicate may answer False only when no one-move that inserts
 that edge and takes exactly those edges off the path lowers the value,
 so a scan that evaluates a move only where it answers True finds every
 strict improvement it would find without it.  The base class (and so
-:class:`PathCost` and every expression) always answers True;
-:class:`PathEdgeDisjoint` answers True iff the stretch holds more
-shared edges than the inserted edge would newly share (one if another
-path uses it, zero otherwise), in O(1) per query.
+:class:`PathCost` and every expression) always answers True.
+:class:`PathEdgeDisjoint`'s predicate is exact: it answers True iff
+those moves lower the violation count, whose change it counts as
+``A(u) + A(v) + [load(e_in) >= 1] - S``, with ``S`` the stretch's
+shared edges and ``A(x)`` the loaded edges on the father chain from
+an endpoint ``x`` of the inserted edge to the path.  An O(1) bound on
+``S`` comes first and the chain counts are memoized per predicate, so
+a scan that runs the full delta only where the predicate holds runs it
+once, on the move it accepts.
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
@@ -107,15 +112,19 @@ class Differentiable:
         ``removed`` is a non-empty contiguous stretch of the induced
         path in path order, as :meth:`RootedSpanningTree.preferred_moves`
         lists it.  Same validity rule as :meth:`move_delta_fn`.  The
-        base class cannot tell and answers True."""
+        base class cannot tell and answers True; an override may also
+        be exact, answering True only where those moves do lower
+        ``value()``, as :meth:`PathEdgeDisjoint.may_improve_fn` is."""
         self._validated_refresh(tree)
         return lambda e_in, removed: True
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
-        each of the distinct registered ``trees``.  A query mutates the
-        trees and restores them: apply, read :meth:`value`, undo latest
-        first (also after an ``InvalidMoveError``) and refresh, so
+        each of the distinct registered ``trees``, in their order.  A
+        query mutates the trees and restores them: apply, read
+        :meth:`value`, undo latest first (also after an
+        ``InvalidMoveError``, or the ``ValueError`` of a move count that
+        differs from the tree count) and refresh, so
         :meth:`move_delta_fn` closures taken before it stay valid."""
         if len({id(t) for t in trees}) != len(trees):
             raise ValueError(
@@ -127,7 +136,7 @@ class Differentiable:
             before = self.value()
             applied = []
             try:
-                for tree, move in zip(trees, moves):
+                for tree, move in zip(trees, moves, strict=True):
                     applied.append((tree, tree.apply(move)))
                 return self.value() - before
             finally:
@@ -278,40 +287,52 @@ class PathEdgeDisjoint(Differentiable):
         return delta
 
     def may_improve_fn(self, tree: RootedSpanningTree):
-        """``(e_in, removed) -> bool``: whether the stretch ``removed``
-        holds more shared edges (load 2 or more) than ``e_in`` would
-        newly share, which is one if another path uses ``e_in`` and
-        zero otherwise.
+        """``(e_in, removed) -> bool``: exactly whether the preferred
+        moves that insert ``e_in = (u, v)`` lower the violation count.
 
-        Sound: a one-move that takes the stretch ``removed`` off the
-        induced path puts back only edges that were off it (father-chain
-        edges and the inserted edge ``e_in``), so its delta is the
-        number of added edges with load 1 or more minus the number of
-        removed edges with load 2 or more.  ``e_in`` alone makes the
-        first term at least ``[load(e_in) >= 1]``, so the delta can be
-        negative only where the predicate holds.
+        They all give one new path: the path up to position ``a``, the
+        father chain of one endpoint reversed, ``e_in``, the chain of
+        the other endpoint and the path from position ``b`` on, where
+        ``a < b`` are the chains' join positions and ``removed`` is the
+        stretch between them.  The added edges were all off the path
+        (chain edges are father edges of off-path nodes, ``e_in`` is no
+        tree edge), and the two chains share no edge, or they would
+        join at one position.  So with ``A(x)`` the number of x's chain
+        edges with load 1 or more and ``S(a, b)`` the number of stretch
+        edges with load 2 or more, the delta is
+        ``A(u) + A(v) + [load(e_in) >= 1] - S(a, b)``, each edge counted
+        once.
 
-        One walk along the path builds a position map and a prefix
-        count of its shared edges, so each query costs O(1); a path
-        with no shared edge gets a predicate that always answers
-        False."""
+        One walk along the path builds a prefix count of its shared
+        edges, so ``S(a, b) > [load(e_in) >= 1]``, which the delta needs
+        to be negative, is tested in O(1) first; only the pairs that
+        pass it walk chains, through
+        :meth:`~treeroute.treevar.RootedSpanningTree.chain_counter`,
+        whose counts are memoized for the predicate's lifetime.  A path
+        with no shared edge gets a predicate that always answers False.
+        Same validity rule as :meth:`move_delta_fn`: the memo holds only
+        while no registered tree (and so no load) changes."""
         self._validated_refresh(tree)
         loads = self.loads
-        path = tree.induced_path()
-        # shared[i]: shared edges among path[:i]
+        # shared[i]: shared edges among the first i path edges
         shared = [0]
         count = 0
-        for e in path:
+        for e in tree.induced_path():
             if loads[e] >= 2:
                 count += 1
             shared.append(count)
         if not count:
             return lambda e_in, removed: False
-        pos = {e: i for i, e in enumerate(path)}
+        join, chain_count = tree.chain_counter(loads)
+        edges = tree.graph.edges
 
         def may_improve(e_in: int, removed: Sequence[int]) -> bool:
-            i = pos[removed[0]]
-            return shared[i + len(removed)] - shared[i] > (loads[e_in] >= 1)
+            u, v = edges[e_in]
+            a, b = join[u], join[v]
+            if a > b:
+                a, b = b, a
+            gain = shared[b] - shared[a] - (loads[e_in] >= 1)
+            return gain > 0 and chain_count(u) + chain_count(v) < gain
 
         return may_improve
 

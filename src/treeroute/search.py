@@ -15,12 +15,14 @@ small random perturbation of the conflicted trees and a
 re-initialization of them.  The scan evaluates a delta only where the
 objective's :meth:`~treeroute.objectives.Differentiable.may_improve_fn`
 says the inserted edge and the removed path stretch could lower the
-value (for edge disjointness: where the stretch holds more shared edges
-than the inserted edge would newly share); it still draws a removal for
-every inserted edge, so the filter changes neither the rng stream nor
-any decision.  The scan's shuffle and removal draws are written out
-inline and make exactly the ``getrandbits`` calls that
-``random.shuffle`` and ``random.choice`` make for ``random.Random``.
+value; it still draws a removal for every inserted edge, so the filter
+changes neither the rng stream nor any decision.  For edge disjointness
+the predicate is exact, so the delta closure, taken only at the first
+pair the predicate passes, confirms the one move the scan accepts, and
+a failed scan validates and refreshes the objective once.  The scan's
+shuffle and removal draws are written out inline and make exactly the
+``getrandbits`` calls that ``random.shuffle`` and ``random.choice``
+make for ``random.Random``.
 
 The client sees the search through one hook, ``evaluate(clock)`` (see
 :func:`run`).  The search never calls ``objective.commit()``: the next
@@ -123,7 +125,13 @@ def explore_one_move(
     holds for the inserted edge and the removed stretch; elsewhere it
     cannot be negative.  The removal is drawn for every inserted edge
     all the same, so ``rng`` advances exactly as in a scan that
-    evaluates every delta, and the returned move is the same.
+    evaluates every delta, and the returned move is the same.  The
+    delta closure (``objective.move_delta_fn(tree)``) is taken at the
+    first pair the predicate passes, and every move is confirmed with
+    it, so a wrong predicate can skip a move but never accept one that
+    does not improve.  Under an exact predicate, as edge disjointness
+    has, the scan runs one delta, on the move it returns, and a failed
+    scan validates and refreshes the objective once.
 
     Both draws are written out inline, as ``_random_fathers`` in
     ``treevar`` does: the shuffle is CPython's Fisher-Yates and each
@@ -141,8 +149,8 @@ def explore_one_move(
         while j > i:
             j = getrandbits(bits)
         pairs[i], pairs[j] = pairs[j], pairs[i]
-    delta = objective.move_delta_fn(tree)
     may_improve = objective.may_improve_fn(tree)
+    delta = None
     for e_in, outs in pairs:
         n = len(outs)
         bits = n.bit_length()
@@ -150,6 +158,8 @@ def explore_one_move(
         while r >= n:
             r = getrandbits(bits)
         if may_improve(e_in, outs):
+            if delta is None:
+                delta = objective.move_delta_fn(tree)
             move = BasicMove(e_in, outs[r])
             if delta(move) < 0:
                 return move
@@ -159,12 +169,16 @@ def explore_one_move(
 def _complex_delta(
     tree: RootedSpanningTree, cm: ComplexMove, objective: Differentiable
 ) -> int:
-    """Joint delta of an independent bundle, by apply / evaluate / undo."""
+    """Joint delta of an independent bundle, by apply / evaluate / undo;
+    the caches are refreshed after the undo, so ``move_delta_fn``
+    closures taken before the query stay valid."""
     before = objective.value()
     token = tree.apply_complex(cm)
-    after = objective.value()
-    tree.undo(token)
-    return after - before
+    try:
+        return objective.value() - before
+    finally:
+        tree.undo(token)
+        objective._refresh()
 
 
 def explore_two_move(

@@ -251,6 +251,36 @@ class RootedSpanningTree:
         """
         return self._path_index()[4]
 
+    def chain_counter(self, values: Sequence[int]):
+        """``(join, count)`` for the current revision, read-only.
+
+        ``join[x]`` is the position on the induced path (0 at the source)
+        of the node where x's father chain first meets the path, x's own
+        position if x is on it; a preferred ``e_in = (u, v)`` takes the
+        path edges between ``join[u]`` and ``join[v]`` off the path.
+        ``count(x)`` is the number of edges ``e`` on x's chain before
+        that node with ``values[e] != 0``; those edges are all off the
+        path.  Counts are memoized on every node a walk passes, so a
+        scan's calls walk each off-path node at most once.  Both are
+        valid while neither the tree nor ``values`` changes."""
+        nodes, _, _, join, _ = self._path_index()
+        father, father_edge = self._father_node, self._father_edge
+        memo = dict.fromkeys(nodes, 0)
+
+        def count(x: int) -> int:
+            trail = []
+            while x not in memo:
+                trail.append(x)
+                x = father[x]
+            c = memo[x]
+            for y in reversed(trail):
+                if values[father_edge[y]]:
+                    c += 1
+                memo[y] = c
+            return c
+
+        return join, count
+
     def independent(self, moves: Sequence[BasicMove]) -> bool:
         """Sufficient precheck for move independence in the current tree:
         pairwise edge-disjoint fundamental cycles, each removed edge inside

@@ -231,9 +231,9 @@ class TestMayImprove:
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_disjointness_predicate_is_sound(seed):
     # A preferred move takes the stretch ``outs`` off the path and adds
-    # ``e_in`` plus father-chain edges that were off it, so its delta is
-    # at least [load(e_in) >= 1] minus the shared edges in ``outs``,
-    # whichever removal is drawn.
+    # ``e_in`` plus father-chain edges that were off it; every removal in
+    # ``outs`` gives the same new path, and the predicate must answer
+    # exactly whether that path lowers the violation count.
     rng = random.Random(seed)
     g = oracles.random_connected_graph(rng, rng.randint(4, 10), rng.randint(1, 10))
     trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
@@ -252,8 +252,9 @@ def test_disjointness_predicate_is_sound(seed):
             any(t is tree for t in conflicted)
         stretches = dict(tree.preferred_moves())
         for e_in, outs in stretches.items():
-            shared = sum(loads[e] >= 2 for e in outs)
-            assert may_improve(e_in, outs) == (shared > (loads[e_in] >= 1))
+            for e_out in outs:
+                assert may_improve(e_in, outs) == \
+                    (delta(BasicMove(e_in, e_out)) < 0)
             if not may_improve(e_in, outs):
                 assert all(delta(BasicMove(e_in, e_out)) >= 0 for e_out in outs)
         # every strictly improving move, enumerated over all cycles
@@ -335,6 +336,17 @@ class TestReplaceEdgeDeltaMulti:
             delta((BasicMove(3, 0), BasicMove(3, 1)))
         assert [(t.tree_edges, t.induced_path()) for t in (t1, t2)] == before
         assert c.value() == value
+
+    def test_a_move_count_unlike_the_tree_count_raises_and_restores(self):
+        t1, t2, c = self.crossing_pair()
+        before = [(t.tree_edges, t.induced_path()) for t in (t1, t2)]
+        value = c.value()
+        delta = c.multi_delta_fn((t1, t2))
+        for moves in ((BasicMove(3, 0),), (BasicMove(3, 0),) * 3):
+            with pytest.raises(ValueError, match=r"zip\(\) argument 2"):
+                delta(moves)
+            assert [(t.tree_edges, t.induced_path()) for t in (t1, t2)] == before
+            assert c.value() == value
 
     def test_move_delta_closures_survive_a_joint_query(self):
         t1, t2, c = self.crossing_pair()

@@ -196,6 +196,66 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
     assert reference_evaluated == {2, 4}
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_scan_runs_the_full_delta_only_on_the_move_it_returns(seed):
+    # The disjointness predicate is exact, so the scan confirms only the
+    # move it accepts with a full delta, and a failed scan never takes
+    # the delta closure, whose validation would refresh a second time.
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 9), rng.randint(1, 8))
+    trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
+    for _ in range(rng.randint(0, 6)):
+        tree = rng.choice(trees)
+        move = oracles.random_valid_move(rng, tree)
+        if move is not None:
+            tree.apply(BasicMove(*move))
+    constraint = PathEdgeDisjoint(trees)
+    deltas, refreshes = [], []
+    delta, refresh = constraint._delta, constraint._validated_refresh
+
+    def counted_delta(tree, move):
+        deltas.append(move)
+        return delta(tree, move)
+
+    def counted_refresh(tree):
+        refreshes.append(tree)
+        refresh(tree)
+
+    constraint._delta = counted_delta
+    constraint._validated_refresh = counted_refresh
+    scan_rng, reference_rng = random.Random(seed), random.Random(seed)
+    for tree in trees * 3:
+        deltas.clear()
+        refreshes.clear()
+        found = explore_one_move(tree, constraint, scan_rng)
+        if found is None:
+            assert deltas == []
+            assert len(refreshes) == 1
+        else:
+            assert deltas == [found]
+        expected = oracles.explore_one_move_reference(
+            tree, constraint, reference_rng)
+        assert found == expected
+        assert scan_rng.getstate() == reference_rng.getstate()
+        if found is not None:
+            tree.apply(found)
+
+
+def test_delta_closures_survive_a_complex_delta():
+    # t1 runs 0-1-2 and t2 runs 0-1, both over edge 0; the move (3, 0)
+    # reroutes either tree via 0-3-1
+    g = load_graph("4 4\n0 1\n1 2\n0 3\n3 1\n")
+    t1 = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 2])
+    t2 = RootedSpanningTree.from_edges(g, 0, 1, [0, 1, 2])
+    constraint = PathEdgeDisjoint([t1, t2])
+    delta = constraint.move_delta_fn(t1)
+    assert delta(BasicMove(3, 0)) == -1
+    bundle = ComplexMove((BasicMove(3, 0),))
+    assert search._complex_delta(t2, bundle, constraint) == -1
+    assert delta(BasicMove(3, 0)) == -1
+
+
 class TestExploreTwoMove:
     def test_finds_pair_on_plateau(self):
         _, tree, objective = plateau_instance()
