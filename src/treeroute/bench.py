@@ -17,6 +17,10 @@ Graphs are given either as file paths or as generator specs
     time_limit=10
     seed=1
     solvers=ls,msga
+
+Under ``iter_cap`` the ``t_s`` and ``t_mean_s`` columns, like a
+dump's ``time_to_best``, count LS iterations or MSGA passes, not
+seconds: they read the trace clock, which a cap makes a counter.
 """
 
 from __future__ import annotations

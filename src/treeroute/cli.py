@@ -85,11 +85,14 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--solver", choices=SOLVERS, default="ls")
     solve.add_argument("--time-limit", type=float, default=10.0, metavar="SECS")
     solve.add_argument("--iter-cap", type=int, default=None, metavar="N",
-                       help="deterministic mode: stop after N iterations/passes")
+                       help="deterministic mode: stop after N iterations/passes;"
+                            " time_to_best then counts them, not seconds")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--out", help="write the solution dump here instead of stdout")
 
-    bench = sub.add_parser("bench", help="run a benchmark spec file")
+    bench = sub.add_parser(
+        "bench", help="run a benchmark spec file; under iter_cap the t_s and"
+                      " t_mean_s columns count iterations/passes, not seconds")
     bench.add_argument("--spec", required=True, metavar="FILE")
     bench.add_argument("--out", required=True, metavar="FILE",
                        help="aggregate CSV output")

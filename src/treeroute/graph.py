@@ -8,6 +8,8 @@ and ``(v, u)`` resolve to the same id.
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
 and every cost delta computed downstream is exact integer arithmetic.
+A weight that decimal's default context cannot hold exactly (more than
+28 significant digits, or an exponent out of its range) is a bad weight.
 
 Text formats
 ------------
@@ -23,8 +25,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Context, Decimal, Inexact, InvalidOperation
 from typing import AbstractSet, Sequence
+
+# The default context, except that any rounding raises (an overflow is
+# a rounding too), so a weight it cannot hold exactly is reported.
+_EXACT = Context(traps=[Inexact])
 
 
 class GraphFormatError(ValueError):
@@ -273,13 +279,13 @@ def load_graph(text: str) -> Graph:
         row: list[Decimal] = []
         for tok in cols:
             try:
-                d = Decimal(tok)
-            except InvalidOperation:
+                d = Decimal(tok).normalize(_EXACT)
+                if not d.is_finite():
+                    raise InvalidOperation
+            except (InvalidOperation, Inexact):
                 raise GraphFormatError(
                     f"line {lineno}: bad weight {tok!r}"
                 ) from None
-            if not d.is_finite():
-                raise GraphFormatError(f"line {lineno}: bad weight {tok!r}")
             if d < 0:
                 raise GraphFormatError(f"line {lineno}: negative weight {tok!r}")
             row.append(d)
@@ -291,13 +297,14 @@ def load_graph(text: str) -> Graph:
     for k in range(ncols):
         scale = 0
         for row in raw_weights:
-            exp = row[k].normalize().as_tuple().exponent
-            scale = max(scale, -int(exp))
+            scale = max(scale, -row[k].as_tuple().exponent)
         scales.append(scale)
-    int_weights = [
-        tuple(int(row[k].scaleb(scales[k])) for k in range(ncols))
-        for row in raw_weights
-    ]
+    # in integers: a scaled weight may exceed the context's exponent range
+    int_weights = []
+    for row in raw_weights:
+        ratios = [d.as_integer_ratio() for d in row]
+        int_weights.append(tuple(
+            num * 10 ** scale // den for (num, den), scale in zip(ratios, scales)))
     return Graph(n, edges, int_weights, tuple(scales))
 
 

@@ -18,22 +18,17 @@ as a closure per tree.  A joint query (:meth:`Differentiable.multi_delta_fn`,
 one move on each of several trees) applies the moves, reads the value,
 undoes them and re-syncs the caches.
 
-:meth:`Differentiable.may_improve_fn` lets a scan skip the deltas that
-cannot be negative.  It returns a predicate over a one-move's inserted
-edge and the stretch of path edges it would take off a tree's induced
-path; the predicate may answer False only when no one-move that inserts
-that edge and takes exactly those edges off the path lowers the value,
-so a scan that evaluates a move only where it answers True finds every
-strict improvement it would find without it.  The base class (and so
-:class:`PathCost` and every expression) always answers True.
-:class:`PathEdgeDisjoint`'s predicate is exact: it answers True iff
-those moves lower the violation count, whose change it counts as
+:meth:`Differentiable.improves_fn` answers the one question a
+one-move scan asks, exactly: does the move that inserts an edge and
+takes a given stretch of path edges off a tree's induced path lower
+the value?  Every removal in the stretch gives the same new path, so
+the base class (and so :class:`PathCost` and every expression) answers
+with the ``_delta`` of one of them.  :class:`PathEdgeDisjoint` counts
+the change without building the new path, as
 ``A(u) + A(v) + [load(e_in) >= 1] - S``, with ``S`` the stretch's
 shared edges and ``A(x)`` the loaded edges on the father chain from
 an endpoint ``x`` of the inserted edge to the path.  An O(1) bound on
-``S`` comes first and the chain counts are memoized per predicate, so
-a scan that runs the full delta only where the predicate holds runs it
-once, on the move it accepts.
+``S`` comes first and the chain counts are memoized per predicate.
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
@@ -105,18 +100,18 @@ class Differentiable:
 
         return delta
 
-    def may_improve_fn(self, tree: RootedSpanningTree):
-        """``(e_in, removed) -> bool``: False only if no one-move on
-        ``tree`` that inserts ``e_in`` and takes the path edges
-        ``removed`` off its induced path lowers ``value()``.
+    def improves_fn(self, tree: RootedSpanningTree):
+        """``(e_in, removed) -> bool``: exactly whether the one-moves on
+        ``tree`` that insert ``e_in`` and take the path edges
+        ``removed`` off its induced path lower ``value()``.
         ``removed`` is a non-empty contiguous stretch of the induced
         path in path order, as :meth:`RootedSpanningTree.preferred_moves`
-        lists it.  Same validity rule as :meth:`move_delta_fn`.  The
-        base class cannot tell and answers True; an override may also
-        be exact, answering True only where those moves do lower
-        ``value()``, as :meth:`PathEdgeDisjoint.may_improve_fn` is."""
+        lists it.  Every removal in it gives the same new path, so the
+        base class answers with the delta of the first.  Same validity
+        rule as :meth:`move_delta_fn`."""
         self._validated_refresh(tree)
-        return lambda e_in, removed: True
+        return lambda e_in, removed: self._delta(
+            tree, BasicMove(e_in, removed[0])) < 0
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
@@ -272,8 +267,6 @@ class PathEdgeDisjoint(Differentiable):
         if i is None:  # a tree this constraint does not watch
             return 0
         old_set = self._cached_sets[i]
-        if move.e_out not in old_set:
-            return 0
         new_set = frozenset(tree.simulate_path(move))
         # the removed and added edge sets are disjoint: no load changes twice
         loads = self.loads
@@ -286,7 +279,7 @@ class PathEdgeDisjoint(Differentiable):
                 delta += 1
         return delta
 
-    def may_improve_fn(self, tree: RootedSpanningTree):
+    def improves_fn(self, tree: RootedSpanningTree):
         """``(e_in, removed) -> bool``: exactly whether the preferred
         moves that insert ``e_in = (u, v)`` lower the violation count.
 
@@ -326,7 +319,7 @@ class PathEdgeDisjoint(Differentiable):
         join, chain_count = tree.chain_counter(loads)
         edges = tree.graph.edges
 
-        def may_improve(e_in: int, removed: Sequence[int]) -> bool:
+        def improves(e_in: int, removed: Sequence[int]) -> bool:
             u, v = edges[e_in]
             a, b = join[u], join[v]
             if a > b:
@@ -334,7 +327,7 @@ class PathEdgeDisjoint(Differentiable):
             gain = shared[b] - shared[a] - (loads[e_in] >= 1)
             return gain > 0 and chain_count(u) + chain_count(v) < gain
 
-        return may_improve
+        return improves
 
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""

@@ -8,25 +8,20 @@ one-move it finds.
 
 Moves are always drawn from the preferred sets, so every accepted move
 changes at least one induced path.  A failed scan is exhaustive (every
-removal for one inserted edge gives the same new path, so one delta per
+removal for one inserted edge gives the same new path, so one answer per
 inserted edge covers them all), which means the trees sit at a one-move
 local minimum; the engine then kicks at once, alternating between a
 small random perturbation of the conflicted trees and a
-re-initialization of them.  The scan evaluates a delta only where the
-objective's :meth:`~treeroute.objectives.Differentiable.may_improve_fn`
-says the inserted edge and the removed path stretch could lower the
-value; it still draws a removal for every inserted edge, so the filter
-changes neither the rng stream nor any decision.  For edge disjointness
-the predicate is exact, so the delta closure, taken only at the first
-pair the predicate passes, confirms the one move the scan accepts, and
-a failed scan validates and refreshes the objective once.  The scan's
+re-initialization of them.  The scan accepts the first move for which
+the objective's exact predicate
+:meth:`~treeroute.objectives.Differentiable.improves_fn` holds; its
 shuffle and removal draws are written out inline and make exactly the
 ``getrandbits`` calls that ``random.shuffle`` and ``random.choice``
 make for ``random.Random``.
 
 The client sees the search through one hook, ``evaluate(clock)`` (see
 :func:`run`).  The search never calls ``objective.commit()``: the next
-value, delta or may-improve query refreshes the caches, and a violation
+value, delta or predicate query refreshes the caches, and a violation
 count depends only on the final edge loads, not on the refresh order.
 
 :func:`explore_two_move` (two independent replacements on one tree) and
@@ -118,20 +113,13 @@ def explore_one_move(
     All preferred removals for one inserted edge produce the same new
     induced path (any of them detaches the source-side stretch, and the
     path reconnects through the inserted edge), so their deltas agree for
-    every path-derived objective; the scan therefore evaluates one delta
-    per inserted edge and picks a removal among the equivalent ones.
-
-    That delta is evaluated only when ``objective.may_improve_fn(tree)``
-    holds for the inserted edge and the removed stretch; elsewhere it
-    cannot be negative.  The removal is drawn for every inserted edge
-    all the same, so ``rng`` advances exactly as in a scan that
-    evaluates every delta, and the returned move is the same.  The
-    delta closure (``objective.move_delta_fn(tree)``) is taken at the
-    first pair the predicate passes, and every move is confirmed with
-    it, so a wrong predicate can skip a move but never accept one that
-    does not improve.  Under an exact predicate, as edge disjointness
-    has, the scan runs one delta, on the move it returns, and a failed
-    scan validates and refreshes the objective once.
+    every path-derived objective; the scan therefore asks once per
+    inserted edge whether they improve, with the exact predicate
+    ``objective.improves_fn(tree)`` (taking it validates and refreshes
+    the objective, once per scan), and returns the removal it drew at
+    the first edge where it holds.  A removal is drawn for every
+    inserted edge, so ``rng`` advances exactly as in a scan that
+    evaluates every delta, and the returned move is the same.
 
     Both draws are written out inline, as ``_random_fathers`` in
     ``treevar`` does: the shuffle is CPython's Fisher-Yates and each
@@ -149,20 +137,15 @@ def explore_one_move(
         while j > i:
             j = getrandbits(bits)
         pairs[i], pairs[j] = pairs[j], pairs[i]
-    may_improve = objective.may_improve_fn(tree)
-    delta = None
+    improves = objective.improves_fn(tree)
     for e_in, outs in pairs:
         n = len(outs)
         bits = n.bit_length()
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        if may_improve(e_in, outs):
-            if delta is None:
-                delta = objective.move_delta_fn(tree)
-            move = BasicMove(e_in, outs[r])
-            if delta(move) < 0:
-                return move
+        if improves(e_in, outs):
+            return BasicMove(e_in, outs[r])
     return None
 
 

@@ -57,6 +57,12 @@ BAD_INPUT = {
     "impossible graph header": lambda g, c, d: (
         "solve", "--graph", _file(d, "huge.txt", "1000000000 0\n"),
         "--commodities", c),
+    "overflowing graph weight": lambda g, c, d: (
+        "solve", "--graph", _file(d, "big.txt", "2 1\n0 1 1e999999999\n"),
+        "--commodities", _file(d, "c1.txt", "1\n0 1\n")),
+    "underflowing graph weight": lambda g, c, d: (
+        "solve", "--graph", _file(d, "tiny.txt", "2 1\n0 1 1e-999999999\n"),
+        "--commodities", _file(d, "c1.txt", "1\n0 1\n")),
     "nan time limit": lambda g, c, d: (
         "solve", "--graph", g, "--commodities", c, "--time-limit", "nan"),
     "ratio 1/0": lambda g, c, d: (
@@ -83,6 +89,8 @@ BAD_INPUT = {
 BAD_INPUT_NAMES = {
     "non-integer spec instances": "spec line 3: instances=x: ",
     "non-numeric spec ratio": "spec line 2: ratios=abc: ",
+    "overflowing graph weight": "line 2: bad weight '1e999999999'",
+    "underflowing graph weight": "line 2: bad weight '1e-999999999'",
 }
 
 

@@ -61,6 +61,12 @@ LS_GOLDEN = {
 SPARSE_LS_GOLDEN = (
     "84c269a6a6055a4532b2a97d7476e88bba03eb85e5dbaec9b505406d827bf8fc")
 
+# The ls-mesh25-dense benchmark cell (k=250) at iter_cap 20, where
+# nearly every scanned pair passes the disjointness predicate's O(1)
+# test and the chain counts decide.
+DENSE_LS_GOLDEN = (
+    "ce69bedd4043190cb4e369f60ea3a4baa09e5b3cad97be41a86fcfcf4be6775e")
+
 # sha256 of dump + improvements only: MSGA records no search events.
 MSGA_GOLDEN = {
     0: "b12b49a4a43ca7bcb28c0f26beeb6add0f236e67f873ff909e11c7f29542d276",
@@ -98,6 +104,15 @@ def test_capped_ls_digest_at_sparse_benchmark_scale():
     inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
     solution, trace = solve_ls(inst, SearchConfig(seed=0, iter_cap=120))
     assert _digest(solution_to_dump(solution, inst), trace) == SPARSE_LS_GOLDEN
+
+
+def test_capped_ls_digest_at_dense_benchmark_scale():
+    _, g = resolve_graph("mesh:25x25")
+    k = commodity_count("0.40", g.node_count)
+    assert k == 250
+    inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
+    solution, trace = solve_ls(inst, SearchConfig(seed=0, iter_cap=20))
+    assert _digest(solution_to_dump(solution, inst), trace) == DENSE_LS_GOLDEN
 
 
 @pytest.mark.parametrize("seed", sorted(MSGA_GOLDEN))

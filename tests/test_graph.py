@@ -90,6 +90,17 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match="column"):
             load_graph("3 2\n0 1 4\n1 2\n")
 
+    @pytest.mark.parametrize("weight", [
+        "1e999999999", "1e-999999999", "1.00000000000000000000000000001"])
+    def test_weight_that_cannot_be_held_exactly_names_line(self, weight):
+        with pytest.raises(GraphFormatError, match=f"line 2: bad weight '{weight}'"):
+            load_graph(f"2 1\n0 1 {weight}\n")
+
+    def test_weights_scale_past_the_decimal_exponent_range(self):
+        g = load_graph("3 2\n0 1 1e-1000000\n1 2 5\n")
+        assert g.weight_scales == (1000000,)
+        assert g.weights == ((1,), (5 * 10 ** 1000000,))
+
     def test_decimal_weights_scaled_exactly(self):
         g = load_graph("2 1\n0 1 1.25 3\n")
         assert g.weight_scales == (2, 0)

@@ -128,6 +128,22 @@ class TestReplaceEdgeDelta:
         for d in (PathCost(tree, 0), PathEdgeDisjoint([tree])):
             assert d.move_delta_fn(tree)(move) == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda t: PathEdgeDisjoint([t]),
+        lambda t: PathCost(t, 0),
+        lambda t: compare(PathEdgeDisjoint([t]), "<=", 0),
+    ], ids=["edp", "cost", "expression"])
+    @pytest.mark.parametrize("move", [(3, 2), (4, 2), (0, 3), (2, 3), (99, 3)])
+    def test_invalid_move_raises_for_every_kind(self, make, move):
+        # tree edges 0, 1, 3: edges 0 and 3 are no inserted edges, edge 2
+        # lies on no cycle of edge 4, edge 3 on none of edge 2, and there
+        # is no edge 99
+        g = load_graph("4 5\n0 1 1\n1 2 1\n0 2 1\n1 3 1\n3 2 1\n")
+        tree = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 3])
+        d = make(tree)
+        with pytest.raises(InvalidMoveError):
+            d.move_delta_fn(tree)(BasicMove(*move))
+
     def test_cost_swap_five_for_two(self):
         # path edge of weight 5 replaced by a chord of weight 2
         g = load_graph("3 3\n0 1 5\n1 2 1\n0 2 0\n")
@@ -195,18 +211,18 @@ class TestReplaceEdgeDelta:
                 constraint.commit()
 
 
-class TestMayImprove:
-    def test_base_and_expression_predicates_are_always_true(self):
+class TestImproves:
+    def test_every_predicate_is_exact(self):
+        # Every removal in a preferred stretch gives the same new path, so
+        # each kind's answer must equal the sign of each of their deltas.
         rng = random.Random(4)  # tree 0 shares some of its path
         g = generate_mesh(4, 4)
         trees = [oracles.random_tree_variable(rng, g) for _ in range(4)]
         tree = trees[0]
         constraint = PathEdgeDisjoint(trees)
         pairs = tree.preferred_moves()
-        own = constraint.may_improve_fn(tree)
-        assert any(own(e_in, outs) for e_in, outs in pairs)
-        assert not all(own(e_in, outs) for e_in, outs in pairs)
         kinds = [
+            constraint,
             PathCost(tree, 0),
             compare(PathCost(tree, 0), "<=", 2),
             combine(PathCost(tree, 0), "-", 1),
@@ -214,8 +230,14 @@ class TestMayImprove:
             constraint + 0,
         ]
         for d in kinds:
-            may_improve = d.may_improve_fn(tree)
-            assert all(may_improve(e_in, outs) for e_in, outs in pairs)
+            improves = d.improves_fn(tree)
+            delta = d.move_delta_fn(tree)
+            answers = [improves(e_in, outs) for e_in, outs in pairs]
+            for (e_in, outs), answer in zip(pairs, answers):
+                for e_out in outs:
+                    assert answer == (delta(BasicMove(e_in, e_out)) < 0)
+            if d is constraint:
+                assert any(answers) and not all(answers)
 
     def test_unregistered_tree_rejected(self):
         g = load_graph("3 3\n0 1 1\n1 2 1\n0 2 1\n")
@@ -224,7 +246,7 @@ class TestMayImprove:
         for d in (PathCost(t1, 0), PathEdgeDisjoint([t1]),
                   compare(PathCost(t1, 0), "<=", 1)):
             with pytest.raises(ValueError, match="not registered"):
-                d.may_improve_fn(t2)
+                d.improves_fn(t2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -246,23 +268,23 @@ def test_disjointness_predicate_is_sound(seed):
     loads = Counter(e for t in trees for e in t.induced_path())
     conflicted = constraint.conflicted_trees()
     for tree in trees:
-        may_improve = constraint.may_improve_fn(tree)
+        improves = constraint.improves_fn(tree)
         delta = constraint.move_delta_fn(tree)
         assert any(loads[e] >= 2 for e in tree.induced_path()) == \
             any(t is tree for t in conflicted)
         stretches = dict(tree.preferred_moves())
         for e_in, outs in stretches.items():
             for e_out in outs:
-                assert may_improve(e_in, outs) == \
+                assert improves(e_in, outs) == \
                     (delta(BasicMove(e_in, e_out)) < 0)
-            if not may_improve(e_in, outs):
+            if not improves(e_in, outs):
                 assert all(delta(BasicMove(e_in, e_out)) >= 0 for e_out in outs)
         # every strictly improving move, enumerated over all cycles
         for e_in in tree.replacing_edges():
             for e_out in oracles.cycle_of(g, tree.tree_edges, e_in):
                 if delta(BasicMove(e_in, e_out)) < 0:
                     assert e_out in stretches.get(e_in, ())
-                    assert may_improve(e_in, stretches[e_in])
+                    assert improves(e_in, stretches[e_in])
 
 
 class TestReplaceEdgeDeltaMulti:

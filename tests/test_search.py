@@ -165,14 +165,16 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
         monkeypatch):
     # Tree a's path 0-1-2 (edges 0, 1) shares edge 1 with tree b's path
     # 0-2-1 (edges 2, 1).  Inserting edge 2 takes (0, 1) off a's path,
-    # one shared edge, but newly shares edge 2: delta 0, never
-    # evaluated.  Inserting edge 4 takes (1,) off for unused edges 3
-    # and 4: delta -1.
+    # one shared edge, but newly shares edge 2: delta 0, so the
+    # predicate answers False.  Inserting edge 4 takes (1,) off for
+    # unused edges 3 and 4: delta -1, True.  The scan runs no delta.
     g = load_graph("4 5\n0 1\n1 2\n0 2\n1 3\n3 2\n")
     t_a = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 3])
     t_b = RootedSpanningTree.from_edges(g, 0, 1, [2, 1, 4])
     constraint = PathEdgeDisjoint([t_a, t_b])
     assert t_a.preferred_moves() == ((2, (0, 1)), (4, (1,)))
+    improves = constraint.improves_fn(t_a)
+    assert not improves(2, (0, 1)) and improves(4, (1,))
     evaluated = []
     delta = constraint._delta
 
@@ -186,8 +188,7 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
         scan_rng, reference_rng = random.Random(seed), random.Random(seed)
         evaluated.clear()
         found = explore_one_move(t_a, constraint, scan_rng)
-        assert evaluated == [4]
-        evaluated.clear()
+        assert evaluated == []
         expected = oracles.explore_one_move_reference(
             t_a, constraint, reference_rng)
         reference_evaluated.update(evaluated)
@@ -198,10 +199,10 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
-def test_scan_runs_the_full_delta_only_on_the_move_it_returns(seed):
-    # The disjointness predicate is exact, so the scan confirms only the
-    # move it accepts with a full delta, and a failed scan never takes
-    # the delta closure, whose validation would refresh a second time.
+def test_scan_runs_no_delta_and_refreshes_once(seed):
+    # The disjointness predicate is exact and answers without a full
+    # delta, so a scan, whether it finds a move or not, runs no delta
+    # and validates and refreshes only when it takes the predicate.
     rng = random.Random(seed)
     g = oracles.random_connected_graph(rng, rng.randint(4, 9), rng.randint(1, 8))
     trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
@@ -229,11 +230,8 @@ def test_scan_runs_the_full_delta_only_on_the_move_it_returns(seed):
         deltas.clear()
         refreshes.clear()
         found = explore_one_move(tree, constraint, scan_rng)
-        if found is None:
-            assert deltas == []
-            assert len(refreshes) == 1
-        else:
-            assert deltas == [found]
+        assert deltas == []
+        assert refreshes == [tree]
         expected = oracles.explore_one_move_reference(
             tree, constraint, reference_rng)
         assert found == expected
