@@ -36,7 +36,7 @@ from functools import lru_cache
 
 from .edp import SOLVERS, EdpInstance
 from .generators import generate_commodities, generate_mesh, generate_random_connected
-from .graph import Graph, load_graph
+from .graph import Graph, _content_lines, load_graph
 from .search import SearchConfig
 
 RAW_HEADER = ("graph", "ratio", "k", "solver", "seed", "q", "t_s")
@@ -92,10 +92,7 @@ def parse_spec(text: str) -> BenchmarkSpec:
 
     A value that does not parse is reported with its line and key."""
     kwargs: dict = {"graphs": []}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if "=" not in line:
             raise ValueError(f"spec line {lineno}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")

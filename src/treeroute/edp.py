@@ -23,7 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import Commodity, Graph, path_nodes, shortest_path_avoiding
+from .graph import (Commodity, Graph, _content_lines, path_nodes,
+                    shortest_path_avoiding)
 from .objectives import PathEdgeDisjoint
 from .search import SearchConfig, SearchTrace, run
 from .treevar import RootedSpanningTree
@@ -268,10 +269,7 @@ def verify_dump(text: str, inst: EdpInstance) -> list[str]:
     summary_seen = False
     stated_objective: int | None = None
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _content_lines(text):
         if line.startswith("objective="):
             if summary_seen:
                 problems.append(f"line {lineno}: repeated summary line")

@@ -25,13 +25,14 @@ prechecked by requiring pairwise edge-disjoint fundamental cycles (each
 removed edge inside its own cycle), which makes the application order
 irrelevant.  The search engine accepts only basic moves; complex moves
 serve the library neighbourhood ``search.explore_two_move``.  Basic
-moves and bundles return one kind of undo token, and every move query
-runs the same two checks (:meth:`~RootedSpanningTree._replacing_ends`,
-:meth:`~RootedSpanningTree._orient`).  Random trees draw from a
-``random.Random`` the caller owns.  Setting
-:data:`DEBUG_CHECKS` additionally re-verifies order independence and
-full tree invariants after every mutation; the test suite runs with it
-enabled.
+moves and bundles return one kind of undo token.  Every move query
+checks its inserted edge with
+:meth:`~RootedSpanningTree._replacing_ends`.  The removed edge is
+checked by :meth:`~RootedSpanningTree._orient` in ``apply`` and in
+``simulate_path`` when it is off the induced path; ``simulate_path``
+checks an on-path removal against the join positions of the inserted
+edge's ends, and ``independent`` checks it against the fundamental
+cycle.  Random trees draw from a ``random.Random`` the caller owns.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .graph import Graph
-
-# Extra order-independence and invariant validation after every mutation.
-# Slow; intended for tests.
-DEBUG_CHECKS = False
-
 
 class InvalidMoveError(ValueError):
     """The move is not applicable to the tree in its current state."""
@@ -91,11 +87,13 @@ class RootedSpanningTree:
 
     def __init__(self, graph: Graph, source: int, root: int,
                  father_node: list[int], father_edge: list[int]) -> None:
-        if source == root:
-            raise ValueError("source must differ from root")
-        for node in (source, root):
-            if not (0 <= node < graph.node_count):
-                raise ValueError(f"node id {node} out of range")
+        """Wrap father arrays as they are.
+
+        Only ``source`` and ``root`` are checked; the arrays are trusted,
+        and arrays that do not form a spanning tree make later queries
+        wrong or endless.  :meth:`random_tree` and :meth:`from_edges` are the
+        checked entry points, and :meth:`validate` checks any tree."""
+        self._check_ends(graph, source, root)
         self.graph = graph
         self.source = source
         self.root = root
@@ -105,10 +103,16 @@ class RootedSpanningTree:
         # Derived from the tree, filled lazily and cleared by _bump().
         self._path: tuple[int, ...] | None = None
         self._index: tuple | None = None
-        if DEBUG_CHECKS:
-            self.validate()
 
     # -- construction --------------------------------------------------------
+
+    @staticmethod
+    def _check_ends(graph: Graph, source: int, root: int) -> None:
+        if source == root:
+            raise ValueError("source must differ from root")
+        for node in (source, root):
+            if not (0 <= node < graph.node_count):
+                raise ValueError(f"node id {node} out of range")
 
     @classmethod
     def random_tree(cls, graph: Graph, source: int, root: int,
@@ -120,6 +124,7 @@ class RootedSpanningTree:
         variable starts on a (randomly chosen) shortest induced path;
         search moves then only lengthen it when that pays off.  The draws
         are those of ``random.shuffle`` (see :meth:`_random_fathers`)."""
+        cls._check_ends(graph, source, root)
         father_node, father_edge = cls._random_fathers(graph, root, rng)
         return cls(graph, source, root, father_node, father_edge)
 
@@ -127,6 +132,7 @@ class RootedSpanningTree:
     def from_edges(cls, graph: Graph, source: int, root: int,
                    tree_edges: Iterable[int]) -> "RootedSpanningTree":
         """Build the variable from an explicit spanning-tree edge set."""
+        cls._check_ends(graph, source, root)
         edge_set = set(tree_edges)
         if len(edge_set) != graph.node_count - 1:
             raise ValueError(
@@ -197,8 +203,6 @@ class RootedSpanningTree:
         self._father_node, self._father_edge = self._random_fathers(
             self.graph, self.root, rng)
         self._bump()
-        if DEBUG_CHECKS:
-            self.validate()
 
     # -- read-only queries ---------------------------------------------------
 
@@ -308,8 +312,6 @@ class RootedSpanningTree:
         reoriented: list[tuple[int, int, int]] = []
         self._swap(move, reoriented)
         self._bump()
-        if DEBUG_CHECKS:
-            self.validate()
         return _Undo(reoriented, self.version)
 
     def apply_complex(self, cm: ComplexMove) -> _Undo:
@@ -319,27 +321,14 @@ class RootedSpanningTree:
         Once it passes no move can fail: the cycles are edge-disjoint and
         the inserted edges distinct, so after any of the moves each other
         move's cycle is still in the tree and its removal still on it.
-        Hence the order is irrelevant too; :data:`DEBUG_CHECKS` re-checks
-        that by applying the moves in reverse first.
+        Hence the order is irrelevant too.
         """
         if not self.independent(cm.moves):
             raise InvalidMoveError("basic moves are not independent")
         reoriented: list[tuple[int, int, int]] = []
-        if DEBUG_CHECKS:
-            for m in reversed(cm.moves):
-                self._swap(m, reoriented)
-            expected = self.tree_edges
-            self._restore(reoriented)
-            reoriented.clear()
         for m in cm.moves:
             self._swap(m, reoriented)
-        if DEBUG_CHECKS and self.tree_edges != expected:
-            raise AssertionError(
-                "complex move is order dependent despite passing the precheck"
-            )
         self._bump()
-        if DEBUG_CHECKS:
-            self.validate()
         return _Undo(reoriented, self.version)
 
     def undo(self, token: _Undo) -> None:
@@ -353,8 +342,6 @@ class RootedSpanningTree:
             )
         self._restore(token.reoriented)
         self._bump()
-        if DEBUG_CHECKS:
-            self.validate()
 
     def _swap(self, move: BasicMove,
               reoriented: list[tuple[int, int, int]]) -> None:

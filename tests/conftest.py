@@ -1,15 +1,25 @@
 import pytest
 
-import treeroute.treevar as treevar
+from treeroute import RootedSpanningTree
+
+
+def _validating(method):
+    def checked(self, *args, **kwargs):
+        method(self, *args, **kwargs)
+        self.validate()
+
+    return checked
 
 
 @pytest.fixture(autouse=True)
-def full_tree_checks():
-    """Run the suite with invariant and order-independence checks on."""
-    old = treevar.DEBUG_CHECKS
-    treevar.DEBUG_CHECKS = True
-    yield
-    treevar.DEBUG_CHECKS = old
+def validated_trees(monkeypatch):
+    """Check the invariants of every tree the suite builds and of every
+    revision it makes: each mutation ends in ``_bump``, so validating
+    after ``__init__`` and ``_bump`` covers ``apply``, ``apply_complex``,
+    ``undo`` and ``reinit_random`` as users run them."""
+    for name in ("__init__", "_bump"):
+        monkeypatch.setattr(RootedSpanningTree, name,
+                            _validating(getattr(RootedSpanningTree, name)))
 
 
 @pytest.fixture

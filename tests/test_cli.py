@@ -76,6 +76,11 @@ BAD_INPUT = {
     "non-integer spec instances": lambda g, c, d: (
         "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=x\n"),
         "--out", d / "o.csv"),
+    "commented spec instances": lambda g, c, d: (
+        "bench", "--spec",
+        _spec(d, "# one cell\n\ngraph=mesh:3x3\n  \n  # ratio\nratios=0.5\n"
+                 "instances=x\n"),
+        "--out", d / "o.csv"),
     "non-numeric spec ratio": lambda g, c, d: (
         "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=abc\n"),
         "--out", d / "o.csv"),
@@ -88,6 +93,7 @@ BAD_INPUT = {
 # what the message must name, for the cases that pin it
 BAD_INPUT_NAMES = {
     "non-integer spec instances": "spec line 3: instances=x: ",
+    "commented spec instances": "spec line 7: instances=x: ",
     "non-numeric spec ratio": "spec line 2: ratios=abc: ",
     "overflowing graph weight": "line 2: bad weight '1e999999999'",
     "underflowing graph weight": "line 2: bad weight '1e-999999999'",

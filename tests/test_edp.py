@@ -73,9 +73,12 @@ SUMMARY = "objective={}, C=0, time_to_best=0.000\n"
     ("0 0 2 2 : 0 1 2\nobjective=x, C=0\n", ["line 2: bad summary line"]),
     ("0 0 2 2 : 0 1 2\nobjective=1 C=0\n", ["line 2: bad summary line"]),
     ("0 0 2 2 : 0 1 2\n", ["missing summary line"]),
+    ("# routed\n\n0 0 2 2 : 0 1 2\n   \n  # summary\n" + SUMMARY.format(1)
+     + SUMMARY.format(1),
+     ["line 7: repeated summary line"]),
 ], ids=["repeated-summary", "three-field-head", "five-field-head",
         "non-integer-head", "non-integer-summary", "summary-without-separator",
-        "no-summary"])
+        "no-summary", "comments-and-blank-lines"])
 def test_verify_dump_reports(dump, problems):
     g = load_graph("3 3\n0 1\n1 2\n0 2\n")
     inst = EdpInstance(g, (Commodity(0, 2),))

@@ -1,7 +1,8 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from treeroute import (
@@ -75,6 +76,20 @@ class TestInit:
     def test_from_edges_must_span(self, triangle):
         with pytest.raises(ValueError):
             RootedSpanningTree.from_edges(triangle, 0, 2, [0])
+
+    @pytest.mark.parametrize("node", [-1, 3])
+    @pytest.mark.parametrize("end", ["source", "root"])
+    @pytest.mark.parametrize("builder", ["random_tree", "from_edges"])
+    def test_out_of_range_end_rejected_before_building(
+            self, triangle, builder, end, node):
+        ends = {"source": 0, "root": 2, end: node}
+        rng = random.Random(0)
+        state = rng.getstate()
+        arg = rng if builder == "random_tree" else [0, 1]
+        with pytest.raises(ValueError, match=f"node id {node} out of range"):
+            getattr(RootedSpanningTree, builder)(
+                triangle, ends["source"], ends["root"], arg)
+        assert rng.getstate() == state
 
 
 @st.composite
@@ -296,26 +311,28 @@ class TestComplexMoves:
     def grid(self):
         return generate_mesh(5, 2)  # 10 nodes, 13 edges
 
-    def test_order_independent(self):
-        rng = random.Random(5)
-        g = self.grid()
-        found = 0
-        while found < 20:
-            tree = oracles.random_tree_variable(rng, g, 0, 9)
-            replacing = tree.replacing_edges()
-            if len(replacing) < 2:
-                continue
-            e1, e2 = rng.sample(replacing, 2)
-            m1 = BasicMove(e1, rng.choice(tree.fundamental_cycle(e1)))
-            m2 = BasicMove(e2, rng.choice(tree.fundamental_cycle(e2)))
-            if not tree.independent([m1, m2]):
-                continue
-            found += 1
-            t_a = RootedSpanningTree.from_edges(g, 0, 9, tree.tree_edges)
-            t_a.apply_complex(ComplexMove((m1, m2)))
-            t_b = RootedSpanningTree.from_edges(g, 0, 9, tree.tree_edges)
-            t_b.apply_complex(ComplexMove((m2, m1)))
-            assert t_a.tree_edges == t_b.tree_edges
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(2, 3))
+    def test_order_independent(self, seed, size):
+        # Every order of a bundle that passes the independence precheck
+        # gives one tree.
+        rng = random.Random(seed)
+        g = oracles.random_connected_graph(rng, rng.randint(6, 14), rng.randint(3, 10))
+        tree = oracles.random_tree_variable(rng, g)
+        moves, covered = [], set()
+        for e_in in rng.sample(tree.replacing_edges(), len(tree.replacing_edges())):
+            cycle = tree.fundamental_cycle(e_in)
+            if len(moves) < size and covered.isdisjoint(cycle):
+                moves.append(BasicMove(e_in, rng.choice(cycle)))
+                covered.update(cycle)
+        assume(len(moves) >= 2)
+        assert tree.independent(moves)
+        outcomes = set()
+        for order in itertools.permutations(moves):
+            t = RootedSpanningTree.from_edges(g, tree.source, tree.root, tree.tree_edges)
+            t.apply_complex(ComplexMove(order))
+            outcomes.add(t.tree_edges)
+        assert len(outcomes) == 1
 
     def test_single_move_bundle_equals_apply(self, triangle):
         t_a = make_tree(triangle, 0, 2, [0, 1])
