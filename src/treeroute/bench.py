@@ -60,6 +60,8 @@ class BenchmarkSpec:
             raise ValueError("benchmark spec needs at least one graph")
         if self.instances_per_cell < 1:
             raise ValueError("instances_per_cell must be >= 1")
+        if not self.commodity_ratios:
+            raise ValueError("benchmark spec needs at least one commodity ratio")
         ratios = set()
         for r in self.commodity_ratios:
             f = _ratio(r)

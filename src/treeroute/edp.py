@@ -4,12 +4,13 @@ Each commodity gets its own tree variable (rooted at the commodity's
 target, source marked), and a single :class:`PathEdgeDisjoint`
 constraint over all of them measures how far the induced paths are from
 mutual disjointness.  The local-search solver minimizes that violation
-count; whenever it improves (and periodically), the current paths are
-turned into a feasible solution by *extraction* (repeatedly dropping
-the path sharing most edges with the others) followed by *greedy
-completion* (re-routing dropped commodities on the leftover edges, in
-index order, shortest hop first).  The best feasible solution seen
-anywhere along the run is what the solver returns.
+count; at the start, whenever it improves and at every one-move local
+minimum, the current paths are turned into a feasible solution by
+*extraction* (repeatedly dropping the path sharing most edges with the
+others) followed by *greedy completion* (re-routing dropped commodities
+on the leftover edges, in index order, shortest hop first).  The best
+feasible solution seen anywhere along the run is what the solver
+returns.
 
 The baseline is a multi-start greedy: one greedy completion per pass,
 from nothing, in a random commodity order; the best pass wins.
@@ -168,9 +169,9 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
 
     The search itself only ever sees the violation count; feasible
     solutions are extracted from the search's ``evaluate`` hook (the
-    initial trees, every new violation best and every
-    ``search.EVAL_INTERVAL`` iterations), and the first one with the
-    most routed commodities is returned.  The trees are left in their
+    initial trees, every new violation best and every one-move local
+    minimum; see ``search.run``), and the first one with the most
+    routed commodities is returned.  The trees are left in their
     final search state, not the one that gave the best routing.
 
     In budget mode the clock starts on entry, so building the model

@@ -19,10 +19,12 @@ shuffle and removal draws are written out inline and make exactly the
 ``getrandbits`` calls that ``random.shuffle`` and ``random.choice``
 make for ``random.Random``.
 
-The client sees the search through one hook, ``evaluate(clock)`` (see
-:func:`run`).  The search never calls ``objective.commit()``: the next
-value, delta or predicate query refreshes the caches, and a violation
-count depends only on the final edge loads, not on the refresh order.
+The client sees the search through one hook, ``evaluate(clock)``: on
+the initial trees, at each new best and at each one-move local minimum
+(see :func:`run`).  The search never calls ``objective.commit()``: the
+next value, delta or predicate query refreshes the caches, and a
+violation count depends only on the final edge loads, not on the
+refresh order.
 
 :func:`explore_two_move` (two independent replacements on one tree) and
 :func:`explore_pair_move` (one replacement on each of two trees,
@@ -51,8 +53,6 @@ from typing import Callable
 from .objectives import Differentiable
 from .treevar import BasicMove, ComplexMove, RootedSpanningTree
 
-# Iterations between two periodic evaluations.
-EVAL_INTERVAL = 1000
 # Sampled bundles per tree in a two-move search.
 TWO_MOVE_SAMPLES = 20
 # Sampled move pairs per pair-move search.
@@ -287,8 +287,11 @@ def run(
     time runs out between two trees.
 
     ``evaluate(clock)`` is called on the initial trees, after every new
-    best and every :data:`EVAL_INTERVAL` iterations; kicks are only
-    recorded in the trace.
+    best and at every one-move local minimum, before its kick.  An
+    evaluation only reads the paths (it draws no random number and
+    mutates no tree), so it changes no search decision; and every accept
+    strictly lowers the value, so every descent ends in a failed scan,
+    and so in an evaluation, within ``value + 1`` iterations.
 
     In budget mode the clock counts from ``started``, a
     ``time.monotonic()`` reading taken by the caller (default: the call
@@ -341,6 +344,7 @@ def run(
                     evaluate_in_time()
                 break
         else:  # the scan was exhaustive: a one-move local minimum
+            evaluate_in_time()
             kicks += 1
             if kicks % 2 == 1:
                 _perturb(objective, rng, time_up)
@@ -349,9 +353,6 @@ def run(
                 _restart_conflicted(objective, rng, time_up)
                 event = "restart"
             trace.events.append((clock(), event, objective.value()))
-
-        if iteration % EVAL_INTERVAL == 0:
-            evaluate_in_time()
 
     trace.iterations = iteration
     return trace

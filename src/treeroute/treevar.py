@@ -210,14 +210,6 @@ class RootedSpanningTree:
     def tree_edges(self) -> frozenset[int]:
         return frozenset(e for e in self._father_edge if e >= 0)
 
-    def father_of(self, node: int) -> int:
-        """Father node id, or -1 for the root."""
-        return self._father_node[node]
-
-    def father_edge_of(self, node: int) -> int:
-        """Edge id towards the father, or -1 for the root."""
-        return self._father_edge[node]
-
     def induced_path(self) -> tuple[int, ...]:
         """Edge sequence of the source-to-root path (never empty)."""
         if self._path is None:
@@ -542,10 +534,3 @@ class RootedSpanningTree:
                 if len(trail) > n:
                     raise AssertionError(f"father chain from {node} cycles")
             reached.update(trail)
-
-    def dump(self) -> str:
-        """Debug dump: one 'node father' line per node, then the induced
-        path as an edge list."""
-        lines = [f"{node} {self._father_node[node]}" for node in range(self.graph.node_count)]
-        lines.append("path: " + " ".join(str(e) for e in self.induced_path()))
-        return "\n".join(lines) + "\n"

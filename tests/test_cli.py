@@ -81,6 +81,12 @@ BAD_INPUT = {
         _spec(d, "# one cell\n\ngraph=mesh:3x3\n  \n  # ratio\nratios=0.5\n"
                  "instances=x\n"),
         "--out", d / "o.csv"),
+    "empty spec ratios": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=,\n"),
+        "--out", d / "o.csv"),
+    "blank spec ratios": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=\n"),
+        "--out", d / "o.csv"),
     "non-numeric spec ratio": lambda g, c, d: (
         "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=abc\n"),
         "--out", d / "o.csv"),
@@ -95,6 +101,8 @@ BAD_INPUT_NAMES = {
     "non-integer spec instances": "spec line 3: instances=x: ",
     "commented spec instances": "spec line 7: instances=x: ",
     "non-numeric spec ratio": "spec line 2: ratios=abc: ",
+    "empty spec ratios": "needs at least one commodity ratio",
+    "blank spec ratios": "needs at least one commodity ratio",
     "overflowing graph weight": "line 2: bad weight '1e999999999'",
     "underflowing graph weight": "line 2: bad weight '1e-999999999'",
 }

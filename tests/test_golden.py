@@ -146,7 +146,10 @@ def test_capped_path_cost_run_digest():
     tree = RootedSpanningTree.random_tree(g, 0, 23, random.Random(11))
     objective = compare(PathCost(tree, 0), "<=", 3)
     trace = run(objective, SearchConfig(seed=2, iter_cap=60))
-    assert _digest(tree.dump(), trace) == PATH_COST_GOLDEN
+    # one 'node father' line per node, then the induced path's edges
+    lines = [f"{node} {father}" for node, father in enumerate(tree._father_node)]
+    lines.append("path: " + " ".join(map(str, tree.induced_path())))
+    assert _digest("\n".join(lines) + "\n", trace) == PATH_COST_GOLDEN
 
 
 def test_capped_bench_csv_digest():

@@ -412,22 +412,28 @@ class TestRun:
         run(small_model(13), SearchConfig(time_limit_s=0.3, seed=0))
         assert time.monotonic() - start < 3.0
 
-    def test_evaluations_come_at_the_start_new_bests_and_intervals(self, monkeypatch):
-        monkeypatch.setattr(search, "EVAL_INTERVAL", 5)
+    @pytest.mark.parametrize("cap,count", [(23, 11), (1100, 524)],
+                             ids=["cap23", "cap1100"])
+    def test_evaluations_come_at_the_start_new_bests_and_local_minima(
+            self, cap, count):
+        # a one-move local minimum is evaluated before its kick, so under
+        # iter_cap it shares its clock with the kick's event; no
+        # iteration count triggers an evaluation on its own
         evaluated = []
-        trace = run(small_model(0, k=6), SearchConfig(iter_cap=23, seed=0),
+        trace = run(small_model(0, k=6), SearchConfig(iter_cap=cap, seed=0),
                     evaluated.append)
         bests = [t for t, _ in trace.improvements[1:]]
         kicks = [t for t, kind, _ in trace.events if not kind.startswith("accept:")]
-        # a new best on an interval is evaluated twice, and kicks off the
-        # intervals are not evaluated at all
-        assert bests == [6.0, 10.0]
-        assert any(t % 5 for t in kicks)
-        assert evaluated == [0.0, 5.0, 6.0, 10.0, 10.0, 15.0, 20.0]
+        assert bests and kicks
+        assert evaluated == sorted([0.0] + bests + kicks)
+        assert len(evaluated) == count
 
-    def test_no_scan_starts_after_the_time_limit(self, monkeypatch):
-        # Four row commodities on a 4x4 mesh have disjoint shortest paths,
-        # so every scan fails; each one takes 0.4 s on a fake clock.
+    @staticmethod
+    def slow_row_model(monkeypatch, scan_s):
+        """Four row commodities on a 4x4 mesh: their shortest paths are
+        disjoint, so every scan fails.  Each scan takes ``scan_s`` on a
+        fake clock that reads 100.0 at the start; returns the objective,
+        the clock and the list of scan start times."""
         g = generate_mesh(4, 4)
         objective = PathEdgeDisjoint([
             RootedSpanningTree.random_tree(g, 4 * r, 4 * r + 3, random.Random(r))
@@ -438,14 +444,40 @@ class TestRun:
 
         def slow_scan(tree, obj, rng):
             scan_starts.append(now[0] - 100.0)
-            now[0] += 0.4
+            now[0] += scan_s
             return explore_one_move(tree, obj, rng)
 
         monkeypatch.setattr(search.time, "monotonic", lambda: now[0])
         monkeypatch.setattr(search, "explore_one_move", slow_scan)
+        return objective, now, scan_starts
+
+    def test_no_scan_starts_after_the_time_limit(self, monkeypatch):
+        objective, _, scan_starts = self.slow_row_model(monkeypatch, 0.4)
         trace = run(objective, SearchConfig(time_limit_s=1.0, seed=0))
         assert scan_starts and max(scan_starts) < 1.0
         assert trace.iterations == 1 and trace.events == []
+
+    @pytest.mark.parametrize("limit,evaluations", [
+        (0.9, [0.0]), (1.1, [0.0, 1.0])])
+    def test_no_local_minimum_evaluation_starts_after_the_time_limit(
+            self, monkeypatch, limit, evaluations):
+        # the first scan round fails at 1.0 s: past a 0.9 s limit its
+        # local minimum is kicked (on no tree) but not evaluated
+        objective, _, scan_starts = self.slow_row_model(monkeypatch, 0.25)
+        evaluated = []
+        trace = run(objective, SearchConfig(time_limit_s=limit, seed=0),
+                    evaluated.append)
+        assert scan_starts[:4] == [0.0, 0.25, 0.5, 0.75]
+        assert trace.events[0][:2] == (1.0, "perturbation")
+        assert evaluated == evaluations
+
+    def test_a_spent_budget_still_evaluates_the_initial_trees(self, monkeypatch):
+        objective, now, scan_starts = self.slow_row_model(monkeypatch, 0.25)
+        evaluated = []
+        trace = run(objective, SearchConfig(time_limit_s=1.0, seed=0),
+                    evaluated.append, started=now[0] - 5.0)
+        assert evaluated == [5.0] and scan_starts == []
+        assert trace.iterations == 0 and trace.improvements == [(5.0, 0)]
 
     @pytest.mark.parametrize("kick", ["_perturb", "_restart_conflicted"])
     def test_a_kick_touches_no_tree_once_the_time_is_up(self, kick):

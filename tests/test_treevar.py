@@ -30,8 +30,8 @@ def preferred(tree):
 def tree_state(tree):
     return (
         tree.tree_edges,
-        [tree.father_of(v) for v in range(tree.graph.node_count)],
-        [tree.father_edge_of(v) for v in range(tree.graph.node_count)],
+        list(tree._father_node),
+        list(tree._father_edge),
     )
 
 
@@ -116,8 +116,7 @@ def test_random_trees_draw_as_random_shuffle(case):
     rng, ref_rng = random.Random(seed), random.Random(seed)
 
     def check(tree):
-        fathers = ([tree.father_of(v) for v in range(g.node_count)],
-                   [tree.father_edge_of(v) for v in range(g.node_count)])
+        fathers = (tree._father_node, tree._father_edge)
         assert fathers == oracles.random_fathers_reference(g, root, ref_rng)
         assert rng.getstate() == ref_rng.getstate()
 
@@ -456,13 +455,6 @@ class TestPathChangeCharacterization:
 
 
 class TestStateManagement:
-    def test_dump_format(self, triangle):
-        tree = make_tree(triangle, 0, 2, [0, 1])
-        lines = tree.dump().splitlines()
-        assert lines[0] == "0 1"
-        assert lines[2] == "2 -1"
-        assert lines[3] == "path: 0 1"
-
     def test_stale_undo_token_rejected(self, triangle):
         tree = make_tree(triangle, 0, 2, [0, 1])
         token = tree.apply(BasicMove(2, 0))
