@@ -10,6 +10,7 @@ instance generators, and a benchmark harness.
 
 from .graph import (
     Commodity,
+    FreeEdges,
     Graph,
     GraphFormatError,
     GraphValidationError,
@@ -77,6 +78,7 @@ __all__ = [
     "Differentiable",
     "EdpInstance",
     "EdpSolution",
+    "FreeEdges",
     "Graph",
     "GraphFormatError",
     "GraphValidationError",

@@ -29,7 +29,6 @@ import csv
 import io
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -220,6 +219,8 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchResult:
                          spec.time_limit_s, spec.iter_cap))
 
     if spec.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:

@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .graph import (Commodity, Graph, _content_lines, path_nodes,
+from .graph import (Commodity, FreeEdges, Graph, _content_lines, path_nodes,
                     shortest_path_avoiding)
 from .objectives import PathEdgeDisjoint
 from .search import SearchConfig, SearchTrace, run
@@ -133,18 +133,20 @@ def greedy_complete(
     """Try to route the pending commodities on the edges nothing uses yet.
 
     Commodities are attempted in the order ``pending`` lists them, with
-    shortest-hop routing; successes claim their edges immediately.
-    Never drops an input path.
+    shortest-hop routing; successes claim their edges immediately.  All
+    searches run on one :class:`FreeEdges` view, built from the kept
+    paths and pruned of each new path.  Never drops an input path.
     """
     routed = {i: tuple(p) for i, p in kept.items()}
     used: set[int] = set()
     for p in routed.values():
         used.update(p)
+    free = FreeEdges(g, used)
     for i, c in pending:
-        path = shortest_path_avoiding(g, c.source, c.target, used)
+        path = shortest_path_avoiding(free, c.source, c.target)
         if path is not None:
             routed[i] = tuple(path)
-            used.update(path)
+            free.remove(path)
     return routed
 
 

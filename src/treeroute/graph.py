@@ -3,7 +3,9 @@
 The graph is the static substrate everything else works on: simple
 (no self-loops, no parallel edges), connected, with dense edge ids
 ``0..m-1``.  An edge id is the canonical handle for an edge; ``(u, v)``
-and ``(v, u)`` resolve to the same id.
+and ``(v, u)`` resolve to the same id.  A :class:`FreeEdges` view holds
+a graph minus a set of taken edges, for path searches that must avoid
+them; greedy completion shrinks one as it routes.
 
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
@@ -23,10 +25,9 @@ Commodity file: first line ``k``, then ``k`` lines ``s t``.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact, InvalidOperation
-from typing import AbstractSet, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 # The default context, except that any rounding raises (an overflow is
 # a rounding too), so a weight it cannot hold exactly is reported.
@@ -127,9 +128,8 @@ class Graph:
     def _check_connected(self) -> None:
         seen = [False] * self.node_count
         seen[0] = True
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
+        queue = [0]
+        for u in queue:
             for _, w in self.neighbors[u]:
                 if not seen[w]:
                     seen[w] = True
@@ -177,12 +177,45 @@ def path_nodes(g: Graph, start: int, edges: Sequence[int]) -> list[int]:
     return nodes
 
 
+class FreeEdges:
+    """The edges of a graph minus a set of taken ones, searchable like
+    the graph itself.
+
+    ``neighbors[u]`` lists the free edges at ``u`` as ``(edge id, other
+    end)`` pairs, in the graph's order; ``node_count`` and ``edges`` are
+    the graph's.  Every taken edge must be free in ``g``.  :meth:`remove`
+    takes a path's edges out and keeps the order of what is left, so a
+    search of the view meets edges as a search of the graph that skipped
+    the taken ones would.
+    """
+
+    __slots__ = ("node_count", "edges", "neighbors")
+
+    def __init__(self, g: Graph | FreeEdges,
+                 taken: AbstractSet[int] = frozenset()) -> None:
+        self.node_count = g.node_count
+        self.edges = g.edges
+        self.neighbors = [list(adj) for adj in g.neighbors]
+        self.remove(taken)
+
+    def remove(self, path: Iterable[int]) -> None:
+        """Take the edges of ``path``, each of them free, out of the view."""
+        edges, neighbors = self.edges, self.neighbors
+        for eid in path:
+            u, v = edges[eid]
+            neighbors[u].remove((eid, v))
+            neighbors[v].remove((eid, u))
+
+
 def shortest_path_avoiding(
-    g: Graph, s: int, t: int, forbidden: AbstractSet[int] = frozenset()
+    g: Graph | FreeEdges, s: int, t: int,
+    forbidden: AbstractSet[int] = frozenset(),
 ) -> list[int] | None:
     """Minimum-hop elementary path from s to t using no forbidden edge.
 
-    ``forbidden`` is read in place, not copied.
+    ``g`` is a :class:`Graph` or a :class:`FreeEdges` view of one; a
+    non-empty ``forbidden`` builds the view ``FreeEdges(g, forbidden)``
+    and searches that, so each forbidden edge must be free in ``g``.
 
     Returns the edge sequence, or None if t is unreachable.  Deterministic:
     breadth-first expansion visits incident edges in ascending edge-id
@@ -190,30 +223,34 @@ def shortest_path_avoiding(
     """
     if s == t:
         raise ValueError("source equals target")
-    parent_edge = [-1] * g.node_count
-    seen = [False] * g.node_count
-    seen[s] = True
-    queue = deque([s])
-    while queue:
-        u = queue.popleft()
-        for eid, w in g.neighbors[u]:
-            if eid in forbidden:
-                continue
-            if not seen[w]:
-                seen[w] = True
+    if forbidden:
+        g = FreeEdges(g, forbidden)
+    neighbors = g.neighbors
+    if not neighbors[t]:  # no free edge reaches t
+        return None
+    parent_edge: list[int | None] = [None] * g.node_count
+    parent_edge[s] = -1
+    queue = [s]
+    for u in queue:
+        for eid, w in neighbors[u]:
+            if parent_edge[w] is None:
                 parent_edge[w] = eid
                 if w == t:
-                    queue.clear()
-                    break
+                    return _path_back(g.edges, parent_edge, s, t)
                 queue.append(w)
-    if not seen[t]:
-        return None
+    return None
+
+
+def _path_back(edges: Sequence[tuple[int, int]],
+               parent_edge: Sequence[int | None], s: int, t: int) -> list[int]:
+    """The s-t edge sequence that ``parent_edge`` records back from t."""
     path: list[int] = []
     cur = t
     while cur != s:
         eid = parent_edge[cur]
         path.append(eid)
-        cur = g.other_end(eid, cur)
+        u, v = edges[eid]
+        cur = u if v == cur else v
     path.reverse()
     return path
 

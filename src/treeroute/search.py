@@ -284,7 +284,9 @@ def run(
     Under ``iter_cap`` every iteration records exactly one event: the
     accepted one-move, or the kick that follows a failed scan.  In
     budget mode the last iteration may end without either, when the
-    time runs out between two trees.
+    time runs out during its scan or its evaluation: a local minimum
+    found after the limit is neither evaluated nor kicked, and one whose
+    evaluation ends after it is not kicked.
 
     ``evaluate(clock)`` is called on the initial trees, after every new
     best and at every one-move local minimum, before its kick.  An
@@ -345,6 +347,8 @@ def run(
                 break
         else:  # the scan was exhaustive: a one-move local minimum
             evaluate_in_time()
+            if time_up():
+                break
             kicks += 1
             if kicks % 2 == 1:
                 _perturb(objective, rng, time_up)

@@ -41,6 +41,53 @@ def bfs_distance(g: Graph, s: int, t: int, forbidden=frozenset()) -> int | None:
     return None
 
 
+def shortest_path_avoiding_reference(g: Graph, s: int, t: int,
+                                     forbidden=frozenset()):
+    """Minimum-hop s-t edge sequence with no forbidden edge, or None:
+    breadth-first search over the whole graph that tests the forbidden
+    set at every incidence, visiting incidences in the graph's order,
+    so ties resolve as the package's search must resolve them."""
+    parent_edge = [-1] * g.node_count
+    seen = [False] * g.node_count
+    seen[s] = True
+    queue = deque([s])
+    while queue and not seen[t]:
+        u = queue.popleft()
+        for eid, w in g.neighbors[u]:
+            if eid in forbidden or seen[w]:
+                continue
+            seen[w] = True
+            parent_edge[w] = eid
+            if w == t:
+                break
+            queue.append(w)
+    if not seen[t]:
+        return None
+    path = []
+    cur = t
+    while cur != s:
+        eid = parent_edge[cur]
+        path.append(eid)
+        cur = g.other_end(eid, cur)
+    return path[::-1]
+
+
+def greedy_complete_reference(g: Graph, kept, pending):
+    """Greedy completion over an explicit set of used edges: each pending
+    commodity, in order, takes the reference shortest path avoiding
+    every edge the kept and earlier routed paths use."""
+    routed = {i: tuple(p) for i, p in kept.items()}
+    used: set[int] = set()
+    for p in routed.values():
+        used.update(p)
+    for i, c in pending:
+        path = shortest_path_avoiding_reference(g, c.source, c.target, used)
+        if path is not None:
+            routed[i] = tuple(path)
+            used.update(path)
+    return routed
+
+
 def cycle_of(g: Graph, tree_edges, e_in: int) -> set[int]:
     """Tree edges on the cycle that inserting e_in closes (networkx)."""
     nxg = nx.Graph()

@@ -217,6 +217,25 @@ def test_greedy_complete_routes_in_the_given_order():
     assert list(routed) == [0] and bridge in routed[0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_greedy_complete_matches_the_set_based_reference(seed):
+    # kept paths are a reference routing of a random prefix of a random
+    # order; the rest is pending in another random order
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 14), rng.randint(0, 14))
+    commodities = generate_commodities(g, rng.randint(1, 10), rng.randrange(1000))
+    order = list(enumerate(commodities))
+    rng.shuffle(order)
+    kept = oracles.greedy_complete_reference(
+        g, {}, order[:rng.randint(0, len(order))])
+    pending = [(i, c) for i, c in order if i not in kept]
+    rng.shuffle(pending)
+    routed = greedy_complete(g, kept, pending)
+    expected = oracles.greedy_complete_reference(g, kept, pending)
+    assert list(routed.items()) == list(expected.items())
+
+
 @pytest.mark.parametrize("graphs,ratios,solvers", [
     (["mesh:4x4", "mesh:4x4"], ["0.25"], ["msga"]),
     (["mesh:4x4", "mesh:04x4"], ["0.25"], ["msga"]),

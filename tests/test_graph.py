@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeroute import (
+    FreeEdges,
     Graph,
     GraphFormatError,
     GraphValidationError,
@@ -169,6 +170,42 @@ class TestShortestPathAvoiding:
         # 0-1-3 and 0-2-3 tie; smallest-edge-id expansion picks via node 1
         g = load_graph("4 4\n0 1\n0 2\n1 3\n2 3\n")
         assert shortest_path_avoiding(g, 0, 3) == [0, 2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_free_view_is_searched_like_its_forbidden_set(seed):
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
+    forbidden = {e for e in range(g.edge_count) if rng.random() < 0.3}
+    s, t = rng.sample(range(g.node_count), 2)
+    path = shortest_path_avoiding(FreeEdges(g, forbidden), s, t)
+    assert path == shortest_path_avoiding(g, s, t, forbidden)
+    assert path == oracles.shortest_path_avoiding_reference(g, s, t, forbidden)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_removing_paths_leaves_the_view_of_the_larger_taken_set(seed):
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
+    taken = {e for e in range(g.edge_count) if rng.random() < 0.3}
+    free = FreeEdges(g, taken)
+    for _ in range(3):
+        s, t = rng.sample(range(g.node_count), 2)
+        path = shortest_path_avoiding(free, s, t)
+        if path is None:
+            continue
+        free.remove(path)
+        taken |= set(path)
+        assert free.neighbors == FreeEdges(g, taken).neighbors
+
+
+def test_a_free_view_removes_only_free_edges(triangle):
+    free = FreeEdges(triangle, {2})
+    assert free.neighbors == [[(0, 1)], [(0, 0), (1, 2)], [(1, 1)]]
+    with pytest.raises(ValueError):
+        free.remove([2])
 
 
 class TestPathNodes:

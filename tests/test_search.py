@@ -457,19 +457,35 @@ class TestRun:
         assert scan_starts and max(scan_starts) < 1.0
         assert trace.iterations == 1 and trace.events == []
 
-    @pytest.mark.parametrize("limit,evaluations", [
-        (0.9, [0.0]), (1.1, [0.0, 1.0])])
+    @pytest.mark.parametrize("limit,evaluations,first_events", [
+        (0.9, [0.0], []), (1.1, [0.0, 1.0], [(1.0, "perturbation")])])
     def test_no_local_minimum_evaluation_starts_after_the_time_limit(
-            self, monkeypatch, limit, evaluations):
+            self, monkeypatch, limit, evaluations, first_events):
         # the first scan round fails at 1.0 s: past a 0.9 s limit its
-        # local minimum is kicked (on no tree) but not evaluated
+        # local minimum is neither evaluated nor kicked
         objective, _, scan_starts = self.slow_row_model(monkeypatch, 0.25)
         evaluated = []
         trace = run(objective, SearchConfig(time_limit_s=limit, seed=0),
                     evaluated.append)
         assert scan_starts[:4] == [0.0, 0.25, 0.5, 0.75]
-        assert trace.events[0][:2] == (1.0, "perturbation")
+        assert [event[:2] for event in trace.events[:1]] == first_events
         assert evaluated == evaluations
+
+    def test_no_kick_follows_an_evaluation_that_ends_after_the_time_limit(
+            self, monkeypatch):
+        # the first scan round fails at 1.0 s and its evaluation ends at
+        # 1.2 s, past the 1.1 s limit
+        objective, now, _ = self.slow_row_model(monkeypatch, 0.25)
+        evaluated = []
+
+        def slow_evaluate(clock):
+            evaluated.append(clock)
+            if clock:
+                now[0] += 0.2
+
+        trace = run(objective, SearchConfig(time_limit_s=1.1, seed=0),
+                    slow_evaluate)
+        assert evaluated == [0.0, 1.0] and trace.events == []
 
     def test_a_spent_budget_still_evaluates_the_initial_trees(self, monkeypatch):
         objective, now, scan_starts = self.slow_row_model(monkeypatch, 0.25)
