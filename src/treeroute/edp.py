@@ -132,16 +132,17 @@ def greedy_complete(
 ) -> dict[int, tuple[int, ...]]:
     """Try to route the pending commodities on the edges nothing uses yet.
 
-    Commodities are attempted in the order ``pending`` lists them, with
-    shortest-hop routing; successes claim their edges immediately.  All
-    searches run on one :class:`FreeEdges` view, built from the kept
-    paths and pruned of each new path.  Never drops an input path.
+    The kept paths must be mutually edge-disjoint, with no edge twice in
+    one path either; otherwise ValueError.  Commodities are attempted in
+    the order ``pending`` lists them, with shortest-hop routing;
+    successes claim their edges immediately.  All searches run on one
+    :class:`FreeEdges` view of ``g``, with each kept path and each new
+    one taken out of it.  Never drops an input path.
     """
     routed = {i: tuple(p) for i, p in kept.items()}
-    used: set[int] = set()
+    free = FreeEdges(g)
     for p in routed.values():
-        used.update(p)
-    free = FreeEdges(g, used)
+        free.remove(p)
     for i, c in pending:
         path = shortest_path_avoiding(free, c.source, c.target)
         if path is not None:
@@ -157,12 +158,8 @@ def evaluate_assignment(
 ) -> dict[int, tuple[int, ...]]:
     """Feasible routing reachable from the given (possibly conflicting)
     paths: extraction followed by greedy completion."""
-    retained = extract_disjoint(paths)
-    retained_set = set(retained)
-    kept = {i: tuple(paths[i]) for i in retained}
-    pending = [
-        (i, commodities[i]) for i in range(len(paths)) if i not in retained_set
-    ]
+    kept = {i: paths[i] for i in extract_disjoint(paths)}
+    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
     return greedy_complete(g, kept, pending)
 
 
@@ -319,22 +316,17 @@ def verify_dump(text: str, inst: EdpInstance) -> list[str]:
         if len(set(nodes)) != len(nodes):
             problems.append(f"line {lineno}: path revisits a node")
             continue
-        ok = True
         for a, b in zip(nodes, nodes[1:]):
             eid = g.find_edge(a, b)
             if eid is None:
                 problems.append(f"line {lineno}: no edge ({a},{b}) in the graph")
-                ok = False
                 break
             if eid in used_edges:
                 problems.append(
                     f"line {lineno}: edge ({a},{b}) already used by another path"
                 )
-                ok = False
                 break
             used_edges.add(eid)
-        if not ok:
-            continue
 
     if not summary_seen:
         problems.append("missing summary line")

@@ -4,8 +4,9 @@ The graph is the static substrate everything else works on: simple
 (no self-loops, no parallel edges), connected, with dense edge ids
 ``0..m-1``.  An edge id is the canonical handle for an edge; ``(u, v)``
 and ``(v, u)`` resolve to the same id.  A :class:`FreeEdges` view holds
-a graph minus a set of taken edges, for path searches that must avoid
-them; greedy completion shrinks one as it routes.
+a graph minus the edges taken out of it, for path searches that must
+avoid them; greedy completion builds one per call and takes each path
+it keeps or routes out of it.
 
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Context, Decimal, Inexact, InvalidOperation
-from typing import AbstractSet, Iterable, Sequence
+from typing import Iterable, Sequence
 
 # The default context, except that any rounding raises (an overflow is
 # a rounding too), so a weight it cannot hold exactly is reported.
@@ -178,12 +179,12 @@ def path_nodes(g: Graph, start: int, edges: Sequence[int]) -> list[int]:
 
 
 class FreeEdges:
-    """The edges of a graph minus a set of taken ones, searchable like
-    the graph itself.
+    """The edges of a graph minus the ones taken out, searchable like the
+    graph itself.
 
     ``neighbors[u]`` lists the free edges at ``u`` as ``(edge id, other
     end)`` pairs, in the graph's order; ``node_count`` and ``edges`` are
-    the graph's.  Every taken edge must be free in ``g``.  :meth:`remove`
+    the graph's.  A new view holds every edge of ``g``.  :meth:`remove`
     takes a path's edges out and keeps the order of what is left, so a
     search of the view meets edges as a search of the graph that skipped
     the taken ones would.
@@ -191,15 +192,14 @@ class FreeEdges:
 
     __slots__ = ("node_count", "edges", "neighbors")
 
-    def __init__(self, g: Graph | FreeEdges,
-                 taken: AbstractSet[int] = frozenset()) -> None:
+    def __init__(self, g: Graph) -> None:
         self.node_count = g.node_count
         self.edges = g.edges
         self.neighbors = [list(adj) for adj in g.neighbors]
-        self.remove(taken)
 
     def remove(self, path: Iterable[int]) -> None:
-        """Take the edges of ``path``, each of them free, out of the view."""
+        """Take the edges of ``path`` out of the view; ValueError if one
+        of them is not free (taken out before, or listed twice)."""
         edges, neighbors = self.edges, self.neighbors
         for eid in path:
             u, v = edges[eid]
@@ -207,28 +207,26 @@ class FreeEdges:
             neighbors[v].remove((eid, u))
 
 
-def shortest_path_avoiding(
-    g: Graph | FreeEdges, s: int, t: int,
-    forbidden: AbstractSet[int] = frozenset(),
-) -> list[int] | None:
-    """Minimum-hop elementary path from s to t using no forbidden edge.
+def shortest_path_avoiding(g: Graph | FreeEdges, s: int, t: int) -> list[int] | None:
+    """Minimum-hop elementary path from s to t on the edges of ``g``.
 
-    ``g`` is a :class:`Graph` or a :class:`FreeEdges` view of one; a
-    non-empty ``forbidden`` builds the view ``FreeEdges(g, forbidden)``
-    and searches that, so each forbidden edge must be free in ``g``.
+    ``g`` is a :class:`Graph` or a :class:`FreeEdges` view of one, so
+    the path avoids every edge taken out of the view.
 
     Returns the edge sequence, or None if t is unreachable.  Deterministic:
     breadth-first expansion visits incident edges in ascending edge-id
-    order, so ties always resolve the same way.
+    order, so ties always resolve the same way.  Raises ValueError if s
+    or t is not a node of ``g``, or if they are equal.
     """
+    n = g.node_count
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"node id out of range 0..{n - 1}: s={s}, t={t}")
     if s == t:
         raise ValueError("source equals target")
-    if forbidden:
-        g = FreeEdges(g, forbidden)
     neighbors = g.neighbors
     if not neighbors[t]:  # no free edge reaches t
         return None
-    parent_edge: list[int | None] = [None] * g.node_count
+    parent_edge: list[int | None] = [None] * n
     parent_edge[s] = -1
     queue = [s]
     for u in queue:

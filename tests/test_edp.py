@@ -217,6 +217,13 @@ def test_greedy_complete_routes_in_the_given_order():
     assert list(routed) == [0] and bridge in routed[0]
 
 
+def test_greedy_complete_rejects_overlapping_kept_paths():
+    # 0-1-2 and 1-2-3 on the 4-cycle share the edge 1-2
+    g = load_graph("4 4\n0 1\n1 2\n2 3\n0 3\n")
+    with pytest.raises(ValueError):
+        greedy_complete(g, {0: (0, 1), 1: (1, 2)}, [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_greedy_complete_matches_the_set_based_reference(seed):
@@ -233,6 +240,22 @@ def test_greedy_complete_matches_the_set_based_reference(seed):
     rng.shuffle(pending)
     routed = greedy_complete(g, kept, pending)
     expected = oracles.greedy_complete_reference(g, kept, pending)
+    assert list(routed.items()) == list(expected.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_evaluate_assignment_completes_the_reference_extraction(seed):
+    # the survivors of the reference extraction are kept, and the dropped
+    # commodities are pending in index order
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 14), rng.randint(0, 14))
+    commodities = generate_commodities(g, rng.randint(1, 10), rng.randrange(1000))
+    paths = random_paths(rng, g, len(commodities))
+    kept = {i: paths[i] for i in oracles.extract_disjoint_reference(paths)}
+    pending = [(i, c) for i, c in enumerate(commodities) if i not in kept]
+    expected = oracles.greedy_complete_reference(g, kept, pending)
+    routed = edp.evaluate_assignment(g, commodities, paths)
     assert list(routed.items()) == list(expected.items())
 
 

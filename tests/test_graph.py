@@ -134,15 +134,24 @@ class TestShortestPathAvoiding:
         assert shortest_path_avoiding(triangle, 0, 2) == [2]
 
     def test_detour(self, triangle):
-        assert shortest_path_avoiding(triangle, 0, 2, {2}) == [0, 1]
+        free = FreeEdges(triangle)
+        free.remove([2])
+        assert shortest_path_avoiding(free, 0, 2) == [0, 1]
 
     def test_unreachable(self):
-        g = load_graph("2 1\n0 1\n")
-        assert shortest_path_avoiding(g, 0, 1, {0}) is None
+        free = FreeEdges(load_graph("2 1\n0 1\n"))
+        free.remove([0])
+        assert shortest_path_avoiding(free, 0, 1) is None
 
     def test_source_equals_target_rejected(self, triangle):
         with pytest.raises(ValueError):
             shortest_path_avoiding(triangle, 1, 1)
+
+    @pytest.mark.parametrize("s,t", [(-1, 1), (0, -1), (0, 4), (4, 0)])
+    def test_node_out_of_range_rejected(self, s, t):
+        cycle = load_graph("4 4\n0 1\n1 2\n2 3\n0 3\n")
+        with pytest.raises(ValueError, match="out of range"):
+            shortest_path_avoiding(cycle, s, t)
 
     def test_matches_bfs_distance_on_random_graphs(self):
         rng = random.Random(5)
@@ -155,7 +164,9 @@ class TestShortestPathAvoiding:
             forbidden = frozenset(
                 e for e in range(g.edge_count) if rng.random() < 0.3
             )
-            path = shortest_path_avoiding(g, s, t, forbidden)
+            free = FreeEdges(g)
+            free.remove(forbidden)
+            path = shortest_path_avoiding(free, s, t)
             dist = oracles.bfs_distance(g, s, t, forbidden)
             if dist is None:
                 assert path is None
@@ -179,8 +190,9 @@ def test_a_free_view_is_searched_like_its_forbidden_set(seed):
     g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
     forbidden = {e for e in range(g.edge_count) if rng.random() < 0.3}
     s, t = rng.sample(range(g.node_count), 2)
-    path = shortest_path_avoiding(FreeEdges(g, forbidden), s, t)
-    assert path == shortest_path_avoiding(g, s, t, forbidden)
+    free = FreeEdges(g)
+    free.remove(forbidden)
+    path = shortest_path_avoiding(free, s, t)
     assert path == oracles.shortest_path_avoiding_reference(g, s, t, forbidden)
 
 
@@ -190,7 +202,8 @@ def test_removing_paths_leaves_the_view_of_the_larger_taken_set(seed):
     rng = random.Random(seed)
     g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
     taken = {e for e in range(g.edge_count) if rng.random() < 0.3}
-    free = FreeEdges(g, taken)
+    free = FreeEdges(g)
+    free.remove(taken)
     for _ in range(3):
         s, t = rng.sample(range(g.node_count), 2)
         path = shortest_path_avoiding(free, s, t)
@@ -198,14 +211,18 @@ def test_removing_paths_leaves_the_view_of_the_larger_taken_set(seed):
             continue
         free.remove(path)
         taken |= set(path)
-        assert free.neighbors == FreeEdges(g, taken).neighbors
+        assert free.neighbors == [
+            [(e, w) for e, w in adj if e not in taken] for adj in g.neighbors]
 
 
 def test_a_free_view_removes_only_free_edges(triangle):
-    free = FreeEdges(triangle, {2})
+    free = FreeEdges(triangle)
+    free.remove([2])
     assert free.neighbors == [[(0, 1)], [(0, 0), (1, 2)], [(1, 1)]]
     with pytest.raises(ValueError):
         free.remove([2])
+    with pytest.raises(ValueError):
+        free.remove([0, 0])
 
 
 class TestPathNodes:
