@@ -78,6 +78,8 @@ class BenchmarkSpec:
             raise ValueError(f"a solver is listed twice in {self.solvers}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        # the solvers' rule for the budget, checked before any run
+        SearchConfig(time_limit_s=self.time_limit_s, iter_cap=self.iter_cap)
 
 
 def _ratio(ratio: str) -> Fraction:
@@ -221,7 +223,8 @@ def run_benchmark(spec: BenchmarkSpec) -> BenchResult:
     if spec.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # the pool starts all its workers at once, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, len(tasks))) as pool:
             outcomes = list(pool.map(_run_one, tasks))
     else:
         outcomes = [_run_one(t) for t in tasks]

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 file or input errors, 2 usage errors,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .bench import parse_spec, run_benchmark
@@ -134,12 +135,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    spec = parse_spec(_read(args.spec))
-    result = run_benchmark(spec)
-    _write(args.out, result.aggregate_csv())
     raw_out = args.raw_out
     if raw_out is None:
         raw_out = args.out.removesuffix(".csv") + ".raw.csv"
+    if os.path.realpath(raw_out) == os.path.realpath(args.out):
+        raise ValueError(f"--raw-out {raw_out} would overwrite --out")
+    spec = parse_spec(_read(args.spec))
+    result = run_benchmark(spec)
+    _write(args.out, result.aggregate_csv())
     _write(raw_out, result.raw_csv())
     sys.stdout.write(result.aggregate_csv())
     return EXIT_OK

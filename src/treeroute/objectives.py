@@ -9,14 +9,16 @@ minus value-before to the last bit; the test suite holds every class
 to that with apply/recompute/undo oracles.
 
 Caches are keyed by the trees' revision counters and are refreshed
-lazily on access, so callers may mutate a tree and simply query again;
-:meth:`Differentiable.commit` forces the refresh eagerly, for callers
-that want to pay it at a moment of their choosing (the search engine
-does not call it).  There is one delta hook, ``_delta(tree, move)``
-for a single move, which :meth:`Differentiable.move_delta_fn` returns
-as a closure per tree.  A joint query (:meth:`Differentiable.multi_delta_fn`,
-one move on each of several trees) applies the moves, reads the value,
-undoes them and re-syncs the caches.
+lazily on access, so callers may mutate a tree and simply query again:
+the base class hands each revised tree's new induced path to the
+subclass hook ``_update(i, path)`` (an expression refreshes its operands
+instead).  :meth:`Differentiable.commit` forces the refresh eagerly, for
+callers that want to pay it at a moment of their choosing (the search
+engine does not call it).  There is one delta hook, ``_delta(tree,
+move)`` for a single move, which :meth:`Differentiable.move_delta_fn`
+returns as a closure per tree.  A joint query (one move on each of
+several trees, :meth:`Differentiable.multi_delta_fn`) applies the
+moves, reads the value, undoes them and re-syncs the caches.
 
 :meth:`Differentiable.improves_fn` answers the one question a
 one-move scan asks, exactly: does the move that inserts an edge and
@@ -58,11 +60,19 @@ class Differentiable:
         self._index = {id(t): i for i, t in enumerate(self.trees)}
         if len(self._index) != len(self.trees):
             raise ValueError("each tree may be registered once")
+        self._versions = [-1] * len(self.trees)
 
-    # subclasses implement _refresh(), _current() and _delta(tree, move):
-    # the change of value if move were applied to tree (0 if unwatched)
+    # subclasses implement _update(i, path), _current() and _delta(tree,
+    # move): the change of value if move were applied to tree (0 if unwatched)
 
     def _refresh(self) -> None:
+        versions = self._versions
+        for i, tree in enumerate(self.trees):
+            if versions[i] != tree.version:
+                self._update(i, tree.induced_path())
+                versions[i] = tree.version
+
+    def _update(self, i: int, path: tuple[int, ...]) -> None:
         raise NotImplementedError
 
     def _delta(self, tree: RootedSpanningTree, move: BasicMove) -> int:
@@ -170,9 +180,6 @@ class _Const(Differentiable):
             raise TypeError(f"constants must be exact integers, got {value!r}")
         self._value = value
 
-    def _refresh(self) -> None:
-        pass
-
     def _current(self) -> int:
         return self._value
 
@@ -192,7 +199,6 @@ class PathCost(Differentiable):
             )
         self.tree = tree
         self.k = k
-        self._cached_version = -1
         self._value = 0
 
     def _cost(self, path: tuple[int, ...]) -> int:
@@ -200,10 +206,8 @@ class PathCost(Differentiable):
         k = self.k
         return sum(weights[e][k] for e in path)
 
-    def _refresh(self) -> None:
-        if self._cached_version != self.tree.version:
-            self._value = self._cost(self.tree.induced_path())
-            self._cached_version = self.tree.version
+    def _update(self, i: int, path: tuple[int, ...]) -> None:
+        self._value = self._cost(path)
 
     def _current(self) -> int:
         return self._value
@@ -238,26 +242,21 @@ class PathEdgeDisjoint(Differentiable):
             edge_count = g.edge_count
         self.loads = [0] * edge_count
         self._violation = 0
-        self._cached_versions = [-1] * len(self.trees)
         self._cached_sets: list[frozenset[int]] = [frozenset()] * len(self.trees)
         self._refresh()
 
-    def _refresh(self) -> None:
+    def _update(self, i: int, path: tuple[int, ...]) -> None:
         loads = self.loads
-        for i, tree in enumerate(self.trees):
-            if self._cached_versions[i] == tree.version:
-                continue
-            for e in self._cached_sets[i]:
-                if loads[e] >= 2:
-                    self._violation -= 1
-                loads[e] -= 1
-            new_set = frozenset(tree.induced_path())
-            for e in new_set:
-                if loads[e] >= 1:
-                    self._violation += 1
-                loads[e] += 1
-            self._cached_sets[i] = new_set
-            self._cached_versions[i] = tree.version
+        for e in self._cached_sets[i]:
+            if loads[e] >= 2:
+                self._violation -= 1
+            loads[e] -= 1
+        new_set = frozenset(path)
+        for e in new_set:
+            if loads[e] >= 1:
+                self._violation += 1
+            loads[e] += 1
+        self._cached_sets[i] = new_set
 
     def _current(self) -> int:
         return self._violation

@@ -28,11 +28,12 @@ serve the library neighbourhood ``search.explore_two_move``.  Basic
 moves and bundles return one kind of undo token.  Every move query
 checks its inserted edge with
 :meth:`~RootedSpanningTree._replacing_ends`.  The removed edge is
-checked by :meth:`~RootedSpanningTree._orient` in ``apply`` and in
-``simulate_path`` when it is off the induced path; ``simulate_path``
-checks an on-path removal against the join positions of the inserted
-edge's ends, and ``independent`` checks it against the fundamental
-cycle.  Random trees draw from a ``random.Random`` the caller owns.
+checked by :meth:`~RootedSpanningTree._orient` in ``apply``, and in
+``simulate_path`` unless it lies in the stretch of the induced path
+between the join positions of the inserted edge's ends, which holds
+exactly the cycle's on-path edges; ``independent`` checks it against
+the fundamental cycle.  Random trees draw from a ``random.Random`` the
+caller owns.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ class ComplexMove:
 
 @dataclass
 class _Undo:
+    tree: RootedSpanningTree
     reoriented: list[tuple[int, int, int]]  # (node, old father node, old father edge)
     version_after: int
 
@@ -245,7 +247,7 @@ class RootedSpanningTree:
         stretch runs between those two join positions, so it is read off
         the path index without walking the cycle.
         """
-        return self._path_index()[4]
+        return self._path_index()[2]
 
     def chain_counter(self, values: Sequence[int]):
         """``(join, count)`` for the current revision, read-only.
@@ -259,7 +261,7 @@ class RootedSpanningTree:
         path.  Counts are memoized on every node a walk passes, so a
         scan's calls walk each off-path node at most once.  Both are
         valid while neither the tree nor ``values`` changes."""
-        nodes, _, _, join, _ = self._path_index()
+        nodes, join, _ = self._path_index()
         father, father_edge = self._father_node, self._father_edge
         memo = dict.fromkeys(nodes, 0)
 
@@ -304,7 +306,7 @@ class RootedSpanningTree:
         reoriented: list[tuple[int, int, int]] = []
         self._swap(move, reoriented)
         self._bump()
-        return _Undo(reoriented, self.version)
+        return _Undo(self, reoriented, self.version)
 
     def apply_complex(self, cm: ComplexMove) -> _Undo:
         """Apply all basic moves of an independent bundle atomically.
@@ -321,17 +323,17 @@ class RootedSpanningTree:
         for m in cm.moves:
             self._swap(m, reoriented)
         self._bump()
-        return _Undo(reoriented, self.version)
+        return _Undo(self, reoriented, self.version)
 
     def undo(self, token: _Undo) -> None:
         """Restore the exact tree state from before the matching apply.
 
-        Tokens must be undone in LIFO order; the version counter keeps
-        increasing (it tracks revisions, not states)."""
-        if token.version_after != self.version:
-            raise InvalidMoveError(
-                "undo token is stale; undo must mirror apply order"
-            )
+        Tokens must be undone in LIFO order on the tree that issued them;
+        the version counter keeps increasing (it tracks revisions, not
+        states)."""
+        if token.tree is not self or token.version_after != self.version:
+            raise InvalidMoveError("undo token is stale or belongs to another"
+                                   " tree; undo must mirror apply order")
         self._restore(token.reoriented)
         self._bump()
 
@@ -374,36 +376,31 @@ class RootedSpanningTree:
         detached endpoint, the inserted edge, and the untouched father
         chain from the other endpoint to the root."""
         e_in, e_out = move.e_in, move.e_out
-        u, v = self._replacing_ends(e_in)
-        nodes, path_edges, edge_pos, q, _ = self._path_index()
-        j = edge_pos.get(e_out)
-        if j is None:
-            # Removal off the induced path: the path stays as it is, but the
+        inside, outside = self._replacing_ends(e_in)
+        nodes, join, _ = self._path_index()
+        path = self.induced_path()
+        # Removing a path edge detaches the path's nodes up to it, so the
+        # end that joins the path nearer the source hangs below it.
+        if join[inside] > join[outside]:
+            inside, outside = outside, inside
+        a, b = join[inside], join[outside]
+        if e_out not in path[a:b]:
+            # Not one of the cycle's on-path edges: the path stays, but the
             # move must still be valid (slow check; cold in practice).
             self._orient(e_in, e_out)
-            return path_edges
-        a, b = q[u], q[v]
-        if not (min(a, b) <= j < max(a, b)):
-            raise InvalidMoveError(
-                f"edge {e_out} is not on the cycle closed by edge {e_in}"
-            )
-        # Exactly one endpoint hangs below the removed path edge.
-        if a <= j:
-            inside, outside, q_in, q_out = u, v, a, b
-        else:
-            inside, outside, q_in, q_out = v, u, b, a
+            return path
         chain_in = []
-        node, stop = inside, nodes[q_in]
+        node, stop = inside, nodes[a]
         while node != stop:
             chain_in.append(self._father_edge[node])
             node = self._father_node[node]
         chain_out = []
-        node, stop = outside, nodes[q_out]
+        node, stop = outside, nodes[b]
         while node != stop:
             chain_out.append(self._father_edge[node])
             node = self._father_node[node]
-        return (path_edges[:q_in] + tuple(reversed(chain_in)) + (e_in,)
-                + tuple(chain_out) + path_edges[q_out:])
+        return (path[:a] + tuple(reversed(chain_in)) + (e_in,)
+                + tuple(chain_out) + path[b:])
 
     # -- internals -----------------------------------------------------------
 
@@ -436,66 +433,62 @@ class RootedSpanningTree:
         )
 
     def _path_index(self):
-        """Cached per revision: (nodes, path_edges, edge_pos, q, preferred).
+        """Cached per revision: (nodes, join, preferred).
 
-        ``nodes`` lists the induced path's nodes from the source,
-        ``edge_pos`` maps path edges to their index, ``q[x]`` is the
-        index in ``nodes`` of the first on-path node on x's father chain
-        (x's own index if x is on the path), and ``preferred`` is what
-        :meth:`preferred_moves` returns.  One walk up the father chain
-        from the source gives ``nodes`` and their ``q``.  Everything
-        downstream of the neighborhood reduction reads from this index.
+        ``nodes`` lists the induced path's nodes from the source (its
+        edges are :meth:`induced_path`), ``join[x]`` is the index in
+        ``nodes`` of the first on-path node on x's father chain (x's own
+        index if x is on the path), and ``preferred`` is what
+        :meth:`preferred_moves` returns.  Everything downstream of the
+        neighborhood reduction reads from this index.
         """
         if self._index is not None:
             return self._index
         path_edges = self.induced_path()
-        edge_pos = {e: i for i, e in enumerate(path_edges)}
         father = self._father_node
-        q = [-1] * self.graph.node_count
+        join = [-1] * self.graph.node_count
         node = self.source
         nodes = [node]
-        q[node] = 0
+        join[node] = 0
         while node != self.root:
             node = father[node]
-            q[node] = len(nodes)
+            join[node] = len(nodes)
             nodes.append(node)
         for start in range(self.graph.node_count):
-            if q[start] >= 0:
+            if join[start] >= 0:
                 continue
             trail = [start]
             node = father[start]
-            while q[node] < 0:
+            while join[node] < 0:
                 trail.append(node)
                 node = father[node]
-            hit = q[node]
+            hit = join[node]
             for x in trail:
-                q[x] = hit
+                join[x] = hit
         preferred = []
         father_edge = self._father_edge
         for e_in, (u, v) in enumerate(self.graph.edges):
             if father_edge[u] == e_in or father_edge[v] == e_in:
                 continue
-            a, b = q[u], q[v]
+            a, b = join[u], join[v]
             if a == b:
                 continue
             if a > b:
                 a, b = b, a
             preferred.append((e_in, path_edges[a:b]))
-        self._index = (nodes, path_edges, edge_pos, q, tuple(preferred))
+        self._index = (nodes, join, tuple(preferred))
         return self._index
 
     def _cycle_segments(self, e_in: int) -> tuple[list[int], list[int]]:
         """Father-chain segments (u-to-meet, v-to-meet) for e_in = (u, v)."""
         u, v = self.graph.edges[e_in]
         pos = {u: 0}
-        chain = [u]
         edges_u = []
         x = u
         while x != self.root:
             edges_u.append(self._father_edge[x])
             x = self._father_node[x]
-            pos[x] = len(chain)
-            chain.append(x)
+            pos[x] = len(edges_u)
         edges_v = []
         y = v
         while y not in pos:

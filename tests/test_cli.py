@@ -94,6 +94,10 @@ BAD_INPUT = {
         "bench", "--spec",
         _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\ntime_limit=nan\n"),
         "--out", d / "o.csv"),
+    "raw-out equals out": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\n"
+                                    "iter_cap=1\n"),
+        "--out", d / "o.csv", "--raw-out", d / "o.csv"),
 }
 
 # what the message must name, for the cases that pin it
@@ -105,6 +109,7 @@ BAD_INPUT_NAMES = {
     "blank spec ratios": "needs at least one commodity ratio",
     "overflowing graph weight": "line 2: bad weight '1e999999999'",
     "underflowing graph weight": "line 2: bad weight '1e-999999999'",
+    "raw-out equals out": "would overwrite --out",
 }
 
 

@@ -1,4 +1,8 @@
+import concurrent.futures
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from treeroute import (
     generate_commodities,
     greedy_complete,
     load_graph,
+    parse_spec,
     run_benchmark,
     solution_to_dump,
     solve_ls,
@@ -280,3 +285,49 @@ def test_benchmark_rows_do_not_depend_on_jobs():
         return run_benchmark(spec).raw_csv()
 
     assert raw(1) == raw(2)
+
+
+def test_benchmark_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = BenchmarkSpec(graphs=["mesh:3x3"], commodity_ratios=["0.5"],
+                         instances_per_cell=1, iter_cap=2, jobs=64)
+    result = run_benchmark(spec)
+    assert started == [2]
+    assert len(result.raw_rows) == 2
+
+
+@pytest.mark.parametrize("line,name", [
+    ("time_limit=nan", "time_limit_s"),
+    ("time_limit=inf", "time_limit_s"),
+    ("time_limit=0", "time_limit_s"),
+    ("time_limit=-1", "time_limit_s"),
+    ("iter_cap=-1", "iter_cap"),
+])
+def test_spec_rejects_a_budget_no_solver_accepts(line, name):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        parse_spec(f"graph=mesh:3x3\nratios=0.5\n{line}\n")
+
+
+def test_importing_the_package_loads_no_process_pool():
+    src = Path(edp.__file__).parents[1]
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); import treeroute; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('concurrent', 'multiprocessing')))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"

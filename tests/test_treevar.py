@@ -437,6 +437,38 @@ class TestSimulatePath:
             assert tree.induced_path() == predicted
             tree.undo(token)
 
+    def test_rejects_exactly_what_apply_rejects(self):
+        # every removal id from -1 to m for every inserted edge, so that
+        # each kind of removal is met; a tree edge's kind is (on the path,
+        # on the cycle), and (True, True) is the stretch
+        rng = random.Random(53)
+        kinds = set()
+        for _ in range(60):
+            g = oracles.random_connected_graph(rng, rng.randint(3, 7), rng.randint(1, 5))
+            tree = oracles.random_tree_variable(rng, g)
+            on_path = set(tree.induced_path())
+            in_tree = tree.tree_edges
+            for e_in in tree.replacing_edges():
+                cycle = set(tree.fundamental_cycle(e_in))
+                for e_out in range(-1, g.edge_count + 1):
+                    kinds.add("out of range" if not 0 <= e_out < g.edge_count
+                              else "non-tree" if e_out not in in_tree
+                              else (e_out in on_path, e_out in cycle))
+                    move = BasicMove(e_in, e_out)
+                    before = (tree_state(tree), tree.version)
+                    try:
+                        predicted = tree.simulate_path(move)
+                    except InvalidMoveError:
+                        with pytest.raises(InvalidMoveError):
+                            tree.apply(move)
+                        assert (tree_state(tree), tree.version) == before
+                        continue
+                    token = tree.apply(move)
+                    assert tree.induced_path() == predicted
+                    tree.undo(token)
+        assert kinds == {"out of range", "non-tree", (True, True),
+                         (True, False), (False, True), (False, False)}
+
 
 class TestPathChangeCharacterization:
     def test_exhaustive_on_small_graphs(self):
@@ -461,3 +493,20 @@ class TestStateManagement:
         tree.apply(BasicMove(0, 2))
         with pytest.raises(InvalidMoveError):
             tree.undo(token)
+
+    def test_foreign_undo_token_rejected(self):
+        rng = random.Random(59)
+        g = generate_mesh(4, 4)
+        for _ in range(50):
+            a = RootedSpanningTree.random_tree(g, 0, 15, rng)
+            b = RootedSpanningTree.random_tree(g, 0, 12, rng)
+            tokens = []
+            for tree in (a, b):
+                e_in, outs = rng.choice(tree.preferred_moves())
+                tokens.append(tree.apply(BasicMove(e_in, rng.choice(outs))))
+            before = tree_state(b)
+            with pytest.raises(InvalidMoveError, match="another tree"):
+                b.undo(tokens[0])
+            assert tree_state(b) == before
+            b.undo(tokens[1])
+            a.undo(tokens[0])
