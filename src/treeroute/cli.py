@@ -47,6 +47,22 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _refuse_overwrite(inputs: list[tuple[str, str]],
+                      outputs: list[tuple[str, str | None]]) -> None:
+    """ValueError if an output names the file of an input or of an
+    earlier output.  Each file is a ``(flag, path)`` pair; an output path
+    of None is stdout."""
+    named = [(flag, os.path.realpath(path)) for flag, path in inputs]
+    for flag, path in outputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        for other_flag, other in named:
+            if real == other:
+                raise ValueError(f"{flag} {path} would overwrite {other_flag}")
+        named.append((flag, real))
+
+
 def _load_instance(graph_path: str, commodities_path: str) -> EdpInstance:
     g = load_graph(_read(graph_path))
     commodities = load_commodities(_read(commodities_path), g)
@@ -116,6 +132,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         g = generate_random_connected(args.nodes, args.edges, args.seed)
         _write(args.out, graph_to_text(g))
     else:
+        _refuse_overwrite([("--graph", args.graph)], [("--out", args.out)])
         g = load_graph(_read(args.graph))
         commodities = generate_commodities(g, args.count, args.seed)
         _write(args.out, commodities_to_text(commodities))
@@ -123,6 +140,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _refuse_overwrite([("--graph", args.graph), ("--commodities", args.commodities)],
+                      [("--out", args.out)])
     inst = _load_instance(args.graph, args.commodities)
     cfg = SearchConfig(
         time_limit_s=args.time_limit,
@@ -138,8 +157,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     raw_out = args.raw_out
     if raw_out is None:
         raw_out = args.out.removesuffix(".csv") + ".raw.csv"
-    if os.path.realpath(raw_out) == os.path.realpath(args.out):
-        raise ValueError(f"--raw-out {raw_out} would overwrite --out")
+    _refuse_overwrite([("--spec", args.spec)],
+                      [("--out", args.out), ("--raw-out", raw_out)])
     spec = parse_spec(_read(args.spec))
     result = run_benchmark(spec)
     _write(args.out, result.aggregate_csv())

@@ -137,7 +137,10 @@ def greedy_complete(
     the order ``pending`` lists them, with shortest-hop routing;
     successes claim their edges immediately.  All searches run on one
     :class:`FreeEdges` view of ``g``, with each kept path and each new
-    one taken out of it.  Never drops an input path.
+    one taken out of it.  Since the view only loses edges, the component
+    labels its failed searches leave stay exact for the whole call, and
+    a commodity whose ends they separate fails without a traversal.
+    Never drops an input path.
     """
     routed = {i: tuple(p) for i, p in kept.items()}
     free = FreeEdges(g)

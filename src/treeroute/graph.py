@@ -6,7 +6,10 @@ The graph is the static substrate everything else works on: simple
 and ``(v, u)`` resolve to the same id.  A :class:`FreeEdges` view holds
 a graph minus the edges taken out of it, for path searches that must
 avoid them; greedy completion builds one per call and takes each path
-it keeps or routes out of it.
+it keeps or routes out of it.  A view only ever loses edges, so its
+components only split: a search that fails labels the source's
+component, and a later search between two differently labelled nodes
+fails without a traversal.
 
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
@@ -188,14 +191,25 @@ class FreeEdges:
     takes a path's edges out and keeps the order of what is left, so a
     search of the view meets edges as a search of the graph that skipped
     the taken ones would.
+
+    ``component[u]`` is a label, and ``labels`` the last one given.  A
+    new view labels every node 0, which is right because ``g`` is
+    connected.  The invariant: two nodes with different labels lie in
+    different components of the free edges.  A search that fails gives
+    every node it reached, which is the source's whole component, a
+    fresh label; the nodes outside keep theirs.  Taking edges out only
+    splits components, so a label, exact when given, stays a sound
+    witness of disconnection; equal labels prove nothing.
     """
 
-    __slots__ = ("node_count", "edges", "neighbors")
+    __slots__ = ("node_count", "edges", "neighbors", "component", "labels")
 
     def __init__(self, g: Graph) -> None:
         self.node_count = g.node_count
         self.edges = g.edges
         self.neighbors = [list(adj) for adj in g.neighbors]
+        self.component = [0] * g.node_count
+        self.labels = 0
 
     def remove(self, path: Iterable[int]) -> None:
         """Take the edges of ``path`` out of the view; ValueError if one
@@ -207,23 +221,27 @@ class FreeEdges:
             neighbors[v].remove((eid, u))
 
 
-def shortest_path_avoiding(g: Graph | FreeEdges, s: int, t: int) -> list[int] | None:
-    """Minimum-hop elementary path from s to t on the edges of ``g``.
-
-    ``g`` is a :class:`Graph` or a :class:`FreeEdges` view of one, so
-    the path avoids every edge taken out of the view.
+def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
+    """Minimum-hop elementary path from s to t on the free edges of a
+    :class:`FreeEdges` view, so it avoids every edge taken out of it.
 
     Returns the edge sequence, or None if t is unreachable.  Deterministic:
-    breadth-first expansion visits incident edges in ascending edge-id
-    order, so ties always resolve the same way.  Raises ValueError if s
-    or t is not a node of ``g``, or if they are equal.
+    breadth-first expansion visits incident edges in the view's order,
+    which is the graph's, so ties always resolve the same way.  Returns
+    None without a traversal when s and t carry different component
+    labels, or t has no free edge; a traversal that fails gives the
+    source's component a fresh label (see :class:`FreeEdges`).  Raises
+    ValueError if s or t is not a node of the view, or if they are equal.
     """
-    n = g.node_count
+    n = free.node_count
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"node id out of range 0..{n - 1}: s={s}, t={t}")
     if s == t:
         raise ValueError("source equals target")
-    neighbors = g.neighbors
+    component = free.component
+    if component[s] != component[t]:  # split apart by an earlier failure
+        return None
+    neighbors = free.neighbors
     if not neighbors[t]:  # no free edge reaches t
         return None
     parent_edge: list[int | None] = [None] * n
@@ -234,8 +252,12 @@ def shortest_path_avoiding(g: Graph | FreeEdges, s: int, t: int) -> list[int] | 
             if parent_edge[w] is None:
                 parent_edge[w] = eid
                 if w == t:
-                    return _path_back(g.edges, parent_edge, s, t)
+                    return _path_back(free.edges, parent_edge, s, t)
                 queue.append(w)
+    free.labels += 1
+    label = free.labels
+    for u in queue:  # s's whole component
+        component[u] = label
     return None
 
 

@@ -50,6 +50,8 @@ def _spec(directory, text):
     return _file(directory, "bench.spec", text)
 
 
+ONE_RUN_SPEC = "graph=mesh:3x3\nratios=0.5\ninstances=1\niter_cap=1\n"
+
 # argv builders taking (graph file, commodity file, scratch directory)
 BAD_INPUT = {
     "missing file": lambda g, c, d: (
@@ -95,9 +97,18 @@ BAD_INPUT = {
         _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\ntime_limit=nan\n"),
         "--out", d / "o.csv"),
     "raw-out equals out": lambda g, c, d: (
-        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\n"
-                                    "iter_cap=1\n"),
+        "bench", "--spec", _spec(d, ONE_RUN_SPEC),
         "--out", d / "o.csv", "--raw-out", d / "o.csv"),
+    "out equals spec": lambda g, c, d: (
+        "bench", "--spec", _spec(d, ONE_RUN_SPEC),
+        "--out", d / "bench.spec"),
+    "raw-out equals spec": lambda g, c, d: (
+        "bench", "--spec", _spec(d, ONE_RUN_SPEC),
+        "--out", d / "o.csv", "--raw-out", d / "bench.spec"),
+    "solve out equals commodities": lambda g, c, d: (
+        "solve", "--graph", g, "--commodities", c, "--iter-cap", 1, "--out", c),
+    "commodities out equals graph": lambda g, c, d: (
+        "generate", "commodities", "--graph", g, "--count", 2, "--out", g),
 }
 
 # what the message must name, for the cases that pin it
@@ -110,18 +121,24 @@ BAD_INPUT_NAMES = {
     "overflowing graph weight": "line 2: bad weight '1e999999999'",
     "underflowing graph weight": "line 2: bad weight '1e-999999999'",
     "raw-out equals out": "would overwrite --out",
+    "out equals spec": "would overwrite --spec",
+    "raw-out equals spec": "would overwrite --spec",
+    "solve out equals commodities": "would overwrite --commodities",
+    "commodities out equals graph": "would overwrite --graph",
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUT))
 def test_bad_input_exits_1_with_message(case, instance, tmp_path, capsys):
     argv = BAD_INPUT[case](*instance, tmp_path)
+    files = {p: p.read_bytes() for p in tmp_path.iterdir()}
     capsys.readouterr()
     assert _main(*argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert BAD_INPUT_NAMES.get(case, "") in err
     assert "Traceback" not in err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == files
 
 
 def test_unknown_subcommand_exits_2(capsys):

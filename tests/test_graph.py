@@ -131,7 +131,7 @@ class TestCommodities:
 
 class TestShortestPathAvoiding:
     def test_direct_edge(self, triangle):
-        assert shortest_path_avoiding(triangle, 0, 2) == [2]
+        assert shortest_path_avoiding(FreeEdges(triangle), 0, 2) == [2]
 
     def test_detour(self, triangle):
         free = FreeEdges(triangle)
@@ -145,13 +145,13 @@ class TestShortestPathAvoiding:
 
     def test_source_equals_target_rejected(self, triangle):
         with pytest.raises(ValueError):
-            shortest_path_avoiding(triangle, 1, 1)
+            shortest_path_avoiding(FreeEdges(triangle), 1, 1)
 
     @pytest.mark.parametrize("s,t", [(-1, 1), (0, -1), (0, 4), (4, 0)])
     def test_node_out_of_range_rejected(self, s, t):
         cycle = load_graph("4 4\n0 1\n1 2\n2 3\n0 3\n")
         with pytest.raises(ValueError, match="out of range"):
-            shortest_path_avoiding(cycle, s, t)
+            shortest_path_avoiding(FreeEdges(cycle), s, t)
 
     def test_matches_bfs_distance_on_random_graphs(self):
         rng = random.Random(5)
@@ -180,7 +180,7 @@ class TestShortestPathAvoiding:
     def test_deterministic_tie_break(self):
         # 0-1-3 and 0-2-3 tie; smallest-edge-id expansion picks via node 1
         g = load_graph("4 4\n0 1\n0 2\n1 3\n2 3\n")
-        assert shortest_path_avoiding(g, 0, 3) == [0, 2]
+        assert shortest_path_avoiding(FreeEdges(g), 0, 3) == [0, 2]
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +213,65 @@ def test_removing_paths_leaves_the_view_of_the_larger_taken_set(seed):
         taken |= set(path)
         assert free.neighbors == [
             [(e, w) for e, w in adj if e not in taken] for adj in g.neighbors]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_one_reused_view_answers_every_search_as_the_reference(seed):
+    # searches interleaved with removals, as greedy completion makes
+    # them, so later searches meet the labels earlier failures left
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
+    free = FreeEdges(g)
+    taken: set[int] = set()
+    for _ in range(12):
+        if rng.random() < 0.3:
+            cut = {e for e in range(g.edge_count)
+                   if e not in taken and rng.random() < 0.2}
+            free.remove(cut)
+            taken |= cut
+        s, t = rng.sample(range(g.node_count), 2)
+        path = shortest_path_avoiding(free, s, t)
+        assert path == oracles.shortest_path_avoiding_reference(g, s, t, taken)
+        if path is not None and rng.random() < 0.5:
+            free.remove(path)
+            taken |= set(path)
+
+
+def _path_graph(n):
+    """Nodes 0..n-1 on a line; edge i joins i and i + 1."""
+    return load_graph(f"{n} {n - 1}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+
+
+def test_a_failed_search_labels_the_source_component():
+    free = FreeEdges(_path_graph(5))
+    free.remove([1])  # {0, 1} | {2, 3, 4}
+    assert shortest_path_avoiding(free, 0, 3) is None
+    assert free.labels == 1
+    assert free.component == [1, 1, 0, 0, 0]
+    assert shortest_path_avoiding(free, 2, 4) == [2, 3]
+
+
+def test_a_pair_with_one_end_labelled_fails_without_a_search():
+    free = FreeEdges(_path_graph(5))
+    free.remove([1])
+    assert shortest_path_avoiding(free, 0, 3) is None
+    # a search from 4 would fail and label {2, 3, 4}
+    assert shortest_path_avoiding(free, 4, 1) is None
+    assert free.labels == 1
+    assert free.component == [1, 1, 0, 0, 0]
+
+
+def test_a_stale_shared_label_still_searches():
+    free = FreeEdges(_path_graph(5))
+    free.remove([0])  # {0} | {1, 2, 3, 4}
+    assert shortest_path_avoiding(free, 0, 2) is None
+    assert free.component == [1, 0, 0, 0, 0]
+    free.remove([2])  # splits {1, 2} from {3, 4}, which keep one label
+    assert shortest_path_avoiding(free, 1, 4) is None
+    assert free.labels == 2
+    assert free.component == [1, 2, 2, 0, 0]
+    assert shortest_path_avoiding(free, 4, 3) == [3]
 
 
 def test_a_free_view_removes_only_free_edges(triangle):
