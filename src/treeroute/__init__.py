@@ -14,6 +14,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     GraphValidationError,
+    WholeGraphPaths,
     commodities_to_text,
     graph_to_text,
     load_commodities,
@@ -88,6 +89,7 @@ __all__ = [
     "RootedSpanningTree",
     "SearchConfig",
     "SearchTrace",
+    "WholeGraphPaths",
     "build_model",
     "combine",
     "commodities_to_text",

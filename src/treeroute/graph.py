@@ -9,7 +9,10 @@ avoid them; greedy completion builds one per call and takes each path
 it keeps or routes out of it.  A view only ever loses edges, so its
 components only split: a search that fails labels the source's
 component, and a later search between two differently labelled nodes
-fails without a traversal.
+fails without a traversal.  A search on a view that holds every edge of
+the graph's own shortest s-t path returns that path, so views that
+share a :class:`WholeGraphPaths` memo answer such a search from it
+without a traversal.
 
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
@@ -181,16 +184,38 @@ def path_nodes(g: Graph, start: int, edges: Sequence[int]) -> list[int]:
     return nodes
 
 
+class WholeGraphPaths(dict):
+    """Memo of minimum-hop paths on the whole of one graph: ``memo[s, t]``
+    is the edge tuple a search of ``FreeEdges(graph)`` returns for
+    ``(s, t)``, found by one breadth-first search on first lookup.  The
+    key is ordered, since ``(t, s)``'s path is not always the reverse
+    of ``(s, t)``'s.  Views share a memo only with views of the graph
+    it was made for (see :class:`FreeEdges`).
+    """
+
+    __slots__ = ("graph",)
+
+    def __init__(self, graph: Graph) -> None:
+        super().__init__()
+        self.graph = graph
+
+    def __missing__(self, key: tuple[int, int]) -> tuple[int, ...]:
+        g = self.graph
+        path = self[key] = tuple(_bfs(g.neighbors, g.edges, *key)[0])
+        return path
+
+
 class FreeEdges:
     """The edges of a graph minus the ones taken out, searchable like the
     graph itself.
 
     ``neighbors[u]`` lists the free edges at ``u`` as ``(edge id, other
     end)`` pairs, in the graph's order; ``node_count`` and ``edges`` are
-    the graph's.  A new view holds every edge of ``g``.  :meth:`remove`
-    takes a path's edges out and keeps the order of what is left, so a
-    search of the view meets edges as a search of the graph that skipped
-    the taken ones would.
+    the graph's.  ``is_free[e]`` is 1 while edge ``e`` is in its ends'
+    lists and 0 once it is taken out.  A new view holds every edge of
+    ``g``.  :meth:`remove` takes a path's edges out and keeps the order
+    of what is left, so a search of the view meets edges as a search of
+    the graph that skipped the taken ones would.
 
     ``component[u]`` is a label, and ``labels`` the last one given.  A
     new view labels every node 0, which is right because ``g`` is
@@ -200,25 +225,52 @@ class FreeEdges:
     fresh label; the nodes outside keep theirs.  Taking edges out only
     splits components, so a label, exact when given, stays a sound
     witness of disconnection; equal labels prove nothing.
+
+    ``memo``, when given, is a :class:`WholeGraphPaths` of ``g`` (a memo
+    of another graph is a ValueError) that this view's searches consult
+    and fill; any number of views of ``g`` may share it.  It rests on
+    this fact.  Call a view V' a sub-view of V when V' holds a subset of
+    V's free edges.  If a search on V returns P, a search on any sub-view
+    V' that still holds every edge of P returns P again:
+
+    - every node on P keeps its hop distance from ``s``: P's prefixes
+      are still there, and fewer edges lengthen no distance;
+    - within a layer, the search dequeues nodes in the lexicographic
+      order of their discovery chains, compared by the graph's edge
+      order, which every view keeps;
+    - taking edges out can only move a node later within its layer, or
+      into a later layer, never earlier;
+    - so each node of P keeps its predecessor on P as its first
+      discoverer, and the search back from ``t`` reads P.
+
+    Every view of ``g`` is a sub-view of ``FreeEdges(g)``, so the memo's
+    path for ``(s, t)`` is the answer on any view in which all of its
+    edges are free.
     """
 
-    __slots__ = ("node_count", "edges", "neighbors", "component", "labels")
+    __slots__ = ("node_count", "edges", "neighbors", "is_free", "component",
+                 "labels", "memo")
 
-    def __init__(self, g: Graph) -> None:
+    def __init__(self, g: Graph, memo: WholeGraphPaths | None = None) -> None:
+        if memo is not None and memo.graph is not g:
+            raise ValueError("the memo belongs to another graph")
         self.node_count = g.node_count
         self.edges = g.edges
         self.neighbors = [list(adj) for adj in g.neighbors]
+        self.is_free = bytearray(b"\x01") * len(g.edges)
         self.component = [0] * g.node_count
         self.labels = 0
+        self.memo = memo
 
     def remove(self, path: Iterable[int]) -> None:
         """Take the edges of ``path`` out of the view; ValueError if one
         of them is not free (taken out before, or listed twice)."""
-        edges, neighbors = self.edges, self.neighbors
+        edges, neighbors, is_free = self.edges, self.neighbors, self.is_free
         for eid in path:
             u, v = edges[eid]
             neighbors[u].remove((eid, v))
             neighbors[v].remove((eid, u))
+            is_free[eid] = 0
 
 
 def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
@@ -229,9 +281,13 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
     breadth-first expansion visits incident edges in the view's order,
     which is the graph's, so ties always resolve the same way.  Returns
     None without a traversal when s and t carry different component
-    labels, or t has no free edge; a traversal that fails gives the
-    source's component a fresh label (see :class:`FreeEdges`).  Raises
-    ValueError if s or t is not a node of the view, or if they are equal.
+    labels, or t has no free edge.  With a memo on the view, the graph's
+    own s-t path (see :class:`WholeGraphPaths`) is returned, as a new
+    list, when every one of its edges is free, which is exactly the
+    answer by the sub-view fact in :class:`FreeEdges`; otherwise the
+    view is searched.  A traversal that fails gives the source's
+    component a fresh label.  Raises ValueError if s or t is not a node
+    of the view, or if they are equal.
     """
     n = free.node_count
     if not (0 <= s < n and 0 <= t < n):
@@ -241,10 +297,33 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
     component = free.component
     if component[s] != component[t]:  # split apart by an earlier failure
         return None
-    neighbors = free.neighbors
-    if not neighbors[t]:  # no free edge reaches t
+    if not free.neighbors[t]:  # no free edge reaches t
         return None
-    parent_edge: list[int | None] = [None] * n
+    if free.memo is not None:
+        whole = free.memo[s, t]
+        is_free = free.is_free
+        for eid in whole:
+            if not is_free[eid]:
+                break
+        else:
+            return list(whole)
+    path, reached = _bfs(free.neighbors, free.edges, s, t)
+    if path is None:
+        free.labels += 1
+        label = free.labels
+        for u in reached:  # s's whole component
+            component[u] = label
+    return path
+
+
+def _bfs(neighbors: Sequence[Sequence[tuple[int, int]]],
+         edges: Sequence[tuple[int, int]], s: int,
+         t: int) -> tuple[list[int] | None, list[int]]:
+    """Breadth-first search from s to t over the ``(edge id, other end)``
+    incidence lists ``neighbors``, in their order: the minimum-hop edge
+    sequence, or None when t is unreachable, and the nodes reached,
+    which on failure are all of s's component."""
+    parent_edge: list[int | None] = [None] * len(neighbors)
     parent_edge[s] = -1
     queue = [s]
     for u in queue:
@@ -252,13 +331,9 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
             if parent_edge[w] is None:
                 parent_edge[w] = eid
                 if w == t:
-                    return _path_back(free.edges, parent_edge, s, t)
+                    return _path_back(edges, parent_edge, s, t), queue
                 queue.append(w)
-    free.labels += 1
-    label = free.labels
-    for u in queue:  # s's whole component
-        component[u] = label
-    return None
+    return None, queue
 
 
 def _path_back(edges: Sequence[tuple[int, int]],

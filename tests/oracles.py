@@ -88,6 +88,27 @@ def greedy_complete_reference(g: Graph, kept, pending):
     return routed
 
 
+def solve_msga_reference(inst, cfg):
+    """Capped multi-start greedy written plainly: ``cfg.iter_cap``
+    passes, each one shuffle of the commodity indices with
+    ``random.Random(cfg.seed)`` and a reference greedy completion in
+    that order; a pass is kept when it is the first or routes strictly
+    more than the best so far.  Returns the best routing and the
+    ``(pass number, routed count)`` of every kept pass."""
+    rng = random.Random(cfg.seed)
+    best: dict[int, tuple[int, ...]] = {}
+    improvements: list[tuple[float, int]] = []
+    for passes in range(1, cfg.iter_cap + 1):
+        order = list(range(len(inst.commodities)))
+        rng.shuffle(order)
+        routed = greedy_complete_reference(
+            inst.graph, {}, [(i, inst.commodities[i]) for i in order])
+        if passes == 1 or len(routed) > len(best):
+            best = routed
+            improvements.append((float(passes), len(routed)))
+    return best, improvements
+
+
 def cycle_of(g: Graph, tree_edges, e_in: int) -> set[int]:
     """Tree edges on the cycle that inserting e_in closes (networkx)."""
     nxg = nx.Graph()

@@ -12,6 +12,7 @@ from treeroute import (
     BenchmarkSpec,
     Commodity,
     EdpInstance,
+    EdpSolution,
     SearchConfig,
     extract_disjoint,
     generate_commodities,
@@ -97,6 +98,45 @@ def test_msga_without_passes_routes_nothing():
     assert verify_dump(solution_to_dump(solution, inst), inst) == []
     assert trace.improvements == []
     assert (trace.best_value, trace.best_time) == (0, 0.0)
+
+
+def msga_instance(rng):
+    """A random connected graph of 4-30 nodes with 1-12 commodities, some
+    of them repeating or reversing an earlier pair."""
+    g = oracles.random_connected_graph(rng, rng.randint(4, 30), rng.randint(0, 30))
+    pairs: list[tuple[int, int]] = []
+    for _ in range(rng.randint(1, 12)):
+        draw = rng.random()
+        if pairs and draw < 0.2:
+            pairs.append(rng.choice(pairs))
+        elif pairs and draw < 0.4:
+            pairs.append(rng.choice(pairs)[::-1])
+        else:
+            pairs.append(tuple(rng.sample(range(g.node_count), 2)))
+    return EdpInstance(g, tuple(Commodity(s, t) for s, t in pairs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), iter_cap=st.integers(1, 6))
+def test_capped_msga_matches_the_reference_solver(seed, iter_cap):
+    inst = msga_instance(random.Random(seed))
+    cfg = SearchConfig(seed=seed, iter_cap=iter_cap)
+    solution, trace = solve_msga(inst, cfg)
+    routed, improvements = oracles.solve_msga_reference(inst, cfg)
+    expected = EdpSolution(routed, 0, improvements[-1][0])
+    assert solution_to_dump(solution, inst) == solution_to_dump(expected, inst)
+    assert trace.improvements == improvements
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(1, 5), more=st.integers(1, 5))
+def test_more_msga_passes_only_gain(seed, a, more):
+    # the passes of a longer capped run begin with those of a shorter one
+    inst = msga_instance(random.Random(seed))
+    short, short_trace = solve_msga(inst, SearchConfig(seed=seed, iter_cap=a))
+    long, long_trace = solve_msga(inst, SearchConfig(seed=seed, iter_cap=a + more))
+    assert [x for x in long_trace.improvements if x[0] <= a] == short_trace.improvements
+    assert long.objective >= short.objective
 
 
 def slow_build_solve(monkeypatch, build_s, scan_s=0.25):

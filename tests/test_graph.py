@@ -5,17 +5,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treeroute import (
+    Commodity,
     FreeEdges,
     Graph,
     GraphFormatError,
     GraphValidationError,
+    WholeGraphPaths,
     commodities_to_text,
     graph_to_text,
+    greedy_complete,
     load_commodities,
     load_graph,
     path_nodes,
     shortest_path_avoiding,
 )
+import treeroute.graph as graph
 from treeroute.generators import generate_mesh
 
 import oracles
@@ -236,6 +240,106 @@ def test_one_reused_view_answers_every_search_as_the_reference(seed):
         if path is not None and rng.random() < 0.5:
             free.remove(path)
             taken |= set(path)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_a_path_found_stays_the_answer_while_its_edges_are_free(seed):
+    # the sub-view fact on the reference: taking out more edges, none of
+    # them on the path, leaves the path the answer
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
+    s, t = rng.sample(range(g.node_count), 2)
+    fewer = {e for e in range(g.edge_count) if rng.random() < 0.3}
+    path = oracles.shortest_path_avoiding_reference(g, s, t, fewer)
+    if path is None:
+        return
+    more = fewer | {e for e in range(g.edge_count)
+                    if e not in path and rng.random() < 0.5}
+    assert oracles.shortest_path_avoiding_reference(g, s, t, more) == path
+
+
+def _flags_match_lists(free):
+    return list(free.is_free) == [
+        int((e, v) in free.neighbors[u]) for e, (u, v) in enumerate(free.edges)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_views_sharing_a_memo_answer_every_search_as_the_reference(seed):
+    # searches and removals interleaved over three views of one graph;
+    # the pairs come from a small pool, both ways round, so the memo is
+    # met hit, blocked and fresh
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(2, 12), rng.randint(0, 12))
+    memo = WholeGraphPaths(g)
+    views = [(FreeEdges(g, memo), set()) for _ in range(3)]
+    pairs = [rng.sample(range(g.node_count), 2) for _ in range(3)]
+    for _ in range(20):
+        free, taken = rng.choice(views)
+        if rng.random() < 0.2:
+            cut = {e for e in range(g.edge_count)
+                   if e not in taken and rng.random() < 0.2}
+            free.remove(cut)
+            taken |= cut
+            assert _flags_match_lists(free)
+        s, t = rng.choice(pairs)[::rng.choice((1, -1))]
+        path = shortest_path_avoiding(free, s, t)
+        assert path == oracles.shortest_path_avoiding_reference(g, s, t, taken)
+        if path is not None and rng.random() < 0.5:
+            free.remove(path)
+            taken |= set(path)
+            assert _flags_match_lists(free)
+    assert all(path == tuple(oracles.shortest_path_avoiding_reference(g, s, t))
+               for (s, t), path in memo.items())
+
+
+# 0-1-3 and 0-2-3 tie; from 0 the search reaches 3 through 1, from 3
+# through 2, so the two directions take different paths
+ASYMMETRIC = "4 4\n0 1\n0 2\n2 3\n1 3\n"
+
+
+def test_a_memo_keeps_each_direction_apart():
+    g = load_graph(ASYMMETRIC)
+    memo = WholeGraphPaths(g)
+    free = FreeEdges(g, memo)
+    assert shortest_path_avoiding(free, 0, 3) == [0, 3]
+    assert shortest_path_avoiding(free, 3, 0) == [2, 1]
+    assert memo == {(0, 3): (0, 3), (3, 0): (2, 1)}
+
+
+def test_a_repeated_pair_hits_the_memo_until_its_path_is_taken(monkeypatch):
+    g = load_graph(ASYMMETRIC)
+    search = graph._bfs
+    searched = []  # per BFS: whether it ran on the whole graph
+
+    def bfs(neighbors, edges, s, t):
+        searched.append(neighbors is g.neighbors)
+        return search(neighbors, edges, s, t)
+
+    monkeypatch.setattr(graph, "_bfs", bfs)
+    memo = WholeGraphPaths(g)
+    first = FreeEdges(g, memo)
+    assert shortest_path_avoiding(first, 0, 3) == [0, 3]
+    assert searched == [True]  # the memo's fill, and no search of the view
+    assert shortest_path_avoiding(FreeEdges(g, memo), 0, 3) == [0, 3]
+    assert searched == [True]
+    first.remove([0, 3])
+    assert shortest_path_avoiding(first, 0, 3) == [1, 2]
+    assert searched == [True, False]
+
+
+def test_a_whole_graph_path_blocked_by_a_kept_edge_falls_back_to_the_search():
+    g = load_graph(ASYMMETRIC)
+    kept = {0: (3,)}  # the last edge of 0-1-3
+    routed = greedy_complete(g, kept, [(1, Commodity(0, 3))],
+                             memo=WholeGraphPaths(g))
+    assert routed == {0: (3,), 1: (1, 2)}
+
+
+def test_a_memo_serves_only_views_of_its_graph():
+    with pytest.raises(ValueError, match="another graph"):
+        FreeEdges(load_graph(ASYMMETRIC), WholeGraphPaths(_path_graph(4)))
 
 
 def _path_graph(n):
