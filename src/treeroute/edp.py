@@ -134,14 +134,15 @@ def greedy_complete(
 ) -> dict[int, tuple[int, ...]]:
     """Try to route the pending commodities on the edges nothing uses yet.
 
-    The kept paths must be mutually edge-disjoint, with no edge twice in
-    one path either; otherwise ValueError.  Commodities are attempted in
-    the order ``pending`` lists them, with shortest-hop routing;
-    successes claim their edges immediately.  All searches run on one
-    :class:`FreeEdges` view of ``g``, with each kept path and each new
-    one taken out of it.  Since the view only loses edges, the component
-    labels its failed searches leave stay exact for the whole call, and
-    a commodity whose ends they separate fails without a traversal.
+    The kept paths must be edge ids of ``g``, mutually edge-disjoint,
+    with no edge twice in one path either; otherwise ValueError.
+    Commodities are attempted in the order ``pending`` lists them, with
+    shortest-hop routing; successes claim their edges immediately.  All
+    searches run on one :class:`FreeEdges` view of ``g``, whose flags
+    clear each kept path and each new one.  Since the view only loses
+    edges, the component labels its failed searches leave stay exact
+    for the whole call, and a commodity whose ends they separate fails
+    without a traversal.
     ``memo``, a :class:`WholeGraphPaths` of ``g``, lets a commodity whose
     whole-graph path is still free take it without a traversal; the
     routing is the same with or without it (see :class:`FreeEdges`).

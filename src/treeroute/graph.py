@@ -3,16 +3,12 @@
 The graph is the static substrate everything else works on: simple
 (no self-loops, no parallel edges), connected, with dense edge ids
 ``0..m-1``.  An edge id is the canonical handle for an edge; ``(u, v)``
-and ``(v, u)`` resolve to the same id.  A :class:`FreeEdges` view holds
-a graph minus the edges taken out of it, for path searches that must
-avoid them; greedy completion builds one per call and takes each path
-it keeps or routes out of it.  A view only ever loses edges, so its
-components only split: a search that fails labels the source's
-component, and a later search between two differently labelled nodes
-fails without a traversal.  A search on a view that holds every edge of
-the graph's own shortest s-t path returns that path, so views that
-share a :class:`WholeGraphPaths` memo answer such a search from it
-without a traversal.
+and ``(v, u)`` resolve to the same id.  A :class:`FreeEdges` view is the
+graph minus the edges taken out of it, one flag per edge, for path
+searches that must avoid them; greedy completion builds one per call.
+Its component labels let a search fail without a traversal, and a
+shared :class:`WholeGraphPaths` memo lets one succeed without a
+traversal.
 
 Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
@@ -133,16 +129,10 @@ class Graph:
         self._check_connected()
 
     def _check_connected(self) -> None:
-        seen = [False] * self.node_count
-        seen[0] = True
-        queue = [0]
-        for u in queue:
-            for _, w in self.neighbors[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-        if not all(seen):
-            missing = seen.index(False)
+        _, reached = _bfs(self.neighbors, self.edges, [True] * len(self.edges),
+                          0, None)
+        if len(reached) < self.node_count:
+            missing = min(set(range(self.node_count)).difference(reached))
             raise GraphValidationError(
                 f"graph is disconnected: node {missing} unreachable from node 0"
             )
@@ -201,7 +191,8 @@ class WholeGraphPaths(dict):
 
     def __missing__(self, key: tuple[int, int]) -> tuple[int, ...]:
         g = self.graph
-        path = self[key] = tuple(_bfs(g.neighbors, g.edges, *key)[0])
+        path = self[key] = tuple(
+            _bfs(g.neighbors, g.edges, [True] * len(g.edges), *key)[0])
         return path
 
 
@@ -209,13 +200,9 @@ class FreeEdges:
     """The edges of a graph minus the ones taken out, searchable like the
     graph itself.
 
-    ``neighbors[u]`` lists the free edges at ``u`` as ``(edge id, other
-    end)`` pairs, in the graph's order; ``node_count`` and ``edges`` are
-    the graph's.  ``is_free[e]`` is 1 while edge ``e`` is in its ends'
-    lists and 0 once it is taken out.  A new view holds every edge of
-    ``g``.  :meth:`remove` takes a path's edges out and keeps the order
-    of what is left, so a search of the view meets edges as a search of
-    the graph that skipped the taken ones would.
+    ``neighbors`` and ``edges`` are the graph's own; ``is_free[e]`` is
+    True until edge ``e`` is taken out, and a search skips the edges
+    whose flag is clear.  A new view holds every edge of ``g``.
 
     ``component[u]`` is a label, and ``labels`` the last one given.  A
     new view labels every node 0, which is right because ``g`` is
@@ -237,7 +224,7 @@ class FreeEdges:
       are still there, and fewer edges lengthen no distance;
     - within a layer, the search dequeues nodes in the lexicographic
       order of their discovery chains, compared by the graph's edge
-      order, which every view keeps;
+      order, since every view searches the graph's own lists;
     - taking edges out can only move a node later within its layer, or
       into a later layer, never earlier;
     - so each node of P keeps its predecessor on P as its first
@@ -248,29 +235,29 @@ class FreeEdges:
     edges are free.
     """
 
-    __slots__ = ("node_count", "edges", "neighbors", "is_free", "component",
-                 "labels", "memo")
+    __slots__ = ("edges", "neighbors", "is_free", "component", "labels",
+                 "memo")
 
     def __init__(self, g: Graph, memo: WholeGraphPaths | None = None) -> None:
         if memo is not None and memo.graph is not g:
             raise ValueError("the memo belongs to another graph")
-        self.node_count = g.node_count
         self.edges = g.edges
-        self.neighbors = [list(adj) for adj in g.neighbors]
-        self.is_free = bytearray(b"\x01") * len(g.edges)
+        self.neighbors = g.neighbors
+        self.is_free = [True] * len(g.edges)
         self.component = [0] * g.node_count
         self.labels = 0
         self.memo = memo
 
     def remove(self, path: Iterable[int]) -> None:
         """Take the edges of ``path`` out of the view; ValueError if one
-        of them is not free (taken out before, or listed twice)."""
-        edges, neighbors, is_free = self.edges, self.neighbors, self.is_free
+        of them is not a free edge id (out of ``0..m-1``, taken out
+        before, or listed twice)."""
+        is_free = self.is_free
+        m = len(is_free)
         for eid in path:
-            u, v = edges[eid]
-            neighbors[u].remove((eid, v))
-            neighbors[v].remove((eid, u))
-            is_free[eid] = 0
+            if not (0 <= eid < m and is_free[eid]):
+                raise ValueError(f"edge {eid} is not a free edge of the view")
+            is_free[eid] = False
 
 
 def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
@@ -278,18 +265,18 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
     :class:`FreeEdges` view, so it avoids every edge taken out of it.
 
     Returns the edge sequence, or None if t is unreachable.  Deterministic:
-    breadth-first expansion visits incident edges in the view's order,
-    which is the graph's, so ties always resolve the same way.  Returns
-    None without a traversal when s and t carry different component
-    labels, or t has no free edge.  With a memo on the view, the graph's
-    own s-t path (see :class:`WholeGraphPaths`) is returned, as a new
-    list, when every one of its edges is free, which is exactly the
-    answer by the sub-view fact in :class:`FreeEdges`; otherwise the
+    breadth-first expansion visits incident edges in the graph's order,
+    skipping the taken ones, so ties always resolve the same way.
+    Returns None without a traversal when s and t carry different
+    component labels, or t has no free edge.  With a memo on the view,
+    the graph's own s-t path (see :class:`WholeGraphPaths`) is returned,
+    as a new list, when every one of its edges is free, which is exactly
+    the answer by the sub-view fact in :class:`FreeEdges`; otherwise the
     view is searched.  A traversal that fails gives the source's
     component a fresh label.  Raises ValueError if s or t is not a node
     of the view, or if they are equal.
     """
-    n = free.node_count
+    n = len(free.neighbors)
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"node id out of range 0..{n - 1}: s={s}, t={t}")
     if s == t:
@@ -297,17 +284,20 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
     component = free.component
     if component[s] != component[t]:  # split apart by an earlier failure
         return None
-    if not free.neighbors[t]:  # no free edge reaches t
+    is_free = free.is_free
+    for eid, _ in free.neighbors[t]:
+        if is_free[eid]:
+            break
+    else:  # no free edge reaches t
         return None
     if free.memo is not None:
         whole = free.memo[s, t]
-        is_free = free.is_free
         for eid in whole:
             if not is_free[eid]:
                 break
         else:
             return list(whole)
-    path, reached = _bfs(free.neighbors, free.edges, s, t)
+    path, reached = _bfs(free.neighbors, free.edges, is_free, s, t)
     if path is None:
         free.labels += 1
         label = free.labels
@@ -317,18 +307,19 @@ def shortest_path_avoiding(free: FreeEdges, s: int, t: int) -> list[int] | None:
 
 
 def _bfs(neighbors: Sequence[Sequence[tuple[int, int]]],
-         edges: Sequence[tuple[int, int]], s: int,
-         t: int) -> tuple[list[int] | None, list[int]]:
+         edges: Sequence[tuple[int, int]], is_free: Sequence[bool], s: int,
+         t: int | None) -> tuple[list[int] | None, list[int]]:
     """Breadth-first search from s to t over the ``(edge id, other end)``
-    incidence lists ``neighbors``, in their order: the minimum-hop edge
-    sequence, or None when t is unreachable, and the nodes reached,
-    which on failure are all of s's component."""
+    incidence lists ``neighbors``, in their order, on the edges whose
+    ``is_free`` flag is set: the minimum-hop edge sequence, or None when
+    t is unreachable (always, for t None), and the nodes reached, which
+    on failure are all of s's component."""
     parent_edge: list[int | None] = [None] * len(neighbors)
     parent_edge[s] = -1
     queue = [s]
     for u in queue:
         for eid, w in neighbors[u]:
-            if parent_edge[w] is None:
+            if parent_edge[w] is None and is_free[eid]:
                 parent_edge[w] = eid
                 if w == t:
                     return _path_back(edges, parent_edge, s, t), queue

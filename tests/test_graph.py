@@ -75,6 +75,9 @@ class TestLoadGraph:
     def test_disconnected_rejected(self):
         with pytest.raises(GraphValidationError, match="disconnected"):
             load_graph("5 4\n0 1\n1 2\n2 0\n3 4\n")
+        # names the lowest-numbered node that node 0 cannot reach
+        with pytest.raises(GraphValidationError, match="node 1 unreachable"):
+            load_graph("5 4\n0 2\n2 3\n3 0\n1 4\n")
 
     def test_too_few_edges_rejected_before_building(self):
         with pytest.raises(GraphFormatError, match="cannot connect"):
@@ -215,8 +218,7 @@ def test_removing_paths_leaves_the_view_of_the_larger_taken_set(seed):
             continue
         free.remove(path)
         taken |= set(path)
-        assert free.neighbors == [
-            [(e, w) for e, w in adj if e not in taken] for adj in g.neighbors]
+        assert free.is_free == [e not in taken for e in range(g.edge_count)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,11 +261,6 @@ def test_a_path_found_stays_the_answer_while_its_edges_are_free(seed):
     assert oracles.shortest_path_avoiding_reference(g, s, t, more) == path
 
 
-def _flags_match_lists(free):
-    return list(free.is_free) == [
-        int((e, v) in free.neighbors[u]) for e, (u, v) in enumerate(free.edges)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_views_sharing_a_memo_answer_every_search_as_the_reference(seed):
@@ -282,14 +279,14 @@ def test_views_sharing_a_memo_answer_every_search_as_the_reference(seed):
                    if e not in taken and rng.random() < 0.2}
             free.remove(cut)
             taken |= cut
-            assert _flags_match_lists(free)
+            assert free.is_free == [e not in taken for e in range(g.edge_count)]
         s, t = rng.choice(pairs)[::rng.choice((1, -1))]
         path = shortest_path_avoiding(free, s, t)
         assert path == oracles.shortest_path_avoiding_reference(g, s, t, taken)
         if path is not None and rng.random() < 0.5:
             free.remove(path)
             taken |= set(path)
-            assert _flags_match_lists(free)
+            assert free.is_free == [e not in taken for e in range(g.edge_count)]
     assert all(path == tuple(oracles.shortest_path_avoiding_reference(g, s, t))
                for (s, t), path in memo.items())
 
@@ -310,23 +307,24 @@ def test_a_memo_keeps_each_direction_apart():
 
 def test_a_repeated_pair_hits_the_memo_until_its_path_is_taken(monkeypatch):
     g = load_graph(ASYMMETRIC)
+    memo = WholeGraphPaths(g)
+    first, second = FreeEdges(g, memo), FreeEdges(g, memo)
+    views = {id(first.is_free): "first", id(second.is_free): "second"}
     search = graph._bfs
-    searched = []  # per BFS: whether it ran on the whole graph
+    searched = []  # per BFS: the view whose flags it ran on, or the fill
 
-    def bfs(neighbors, edges, s, t):
-        searched.append(neighbors is g.neighbors)
-        return search(neighbors, edges, s, t)
+    def bfs(neighbors, edges, is_free, s, t):
+        searched.append(views.get(id(is_free), "fill"))
+        return search(neighbors, edges, is_free, s, t)
 
     monkeypatch.setattr(graph, "_bfs", bfs)
-    memo = WholeGraphPaths(g)
-    first = FreeEdges(g, memo)
     assert shortest_path_avoiding(first, 0, 3) == [0, 3]
-    assert searched == [True]  # the memo's fill, and no search of the view
-    assert shortest_path_avoiding(FreeEdges(g, memo), 0, 3) == [0, 3]
-    assert searched == [True]
+    assert searched == ["fill"]  # the memo's fill, and no search of the view
+    assert shortest_path_avoiding(second, 0, 3) == [0, 3]
+    assert searched == ["fill"]
     first.remove([0, 3])
     assert shortest_path_avoiding(first, 0, 3) == [1, 2]
-    assert searched == [True, False]
+    assert searched == ["fill", "first"]
 
 
 def test_a_whole_graph_path_blocked_by_a_kept_edge_falls_back_to_the_search():
@@ -381,11 +379,19 @@ def test_a_stale_shared_label_still_searches():
 def test_a_free_view_removes_only_free_edges(triangle):
     free = FreeEdges(triangle)
     free.remove([2])
-    assert free.neighbors == [[(0, 1)], [(0, 0), (1, 2)], [(1, 1)]]
+    assert free.is_free == [True, True, False]
     with pytest.raises(ValueError):
         free.remove([2])
     with pytest.raises(ValueError):
         free.remove([0, 0])
+
+
+@pytest.mark.parametrize("eid", [-1, -4, 3])  # -1, -m-1 and m for m = 3
+def test_an_edge_id_outside_the_graph_is_rejected(triangle, eid):
+    with pytest.raises(ValueError):
+        FreeEdges(triangle).remove([eid])
+    with pytest.raises(ValueError):
+        greedy_complete(triangle, {0: (eid,)}, [])
 
 
 class TestPathNodes:
