@@ -82,8 +82,21 @@ class BenchmarkSpec:
         SearchConfig(time_limit_s=self.time_limit_s, iter_cap=self.iter_cap)
 
 
+# ``Fraction`` expands a decimal exponent into an exact power of ten, so
+# ``1e-999999999`` would not return; an exponent past this is refused.
+MAX_RATIO_EXPONENT = 400
+_EXPONENT_RE = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
+
+
 def _ratio(ratio: str) -> Fraction:
-    """The exact value of a commodity ratio as written in a spec."""
+    """The exact value of a commodity ratio as written in a spec; an
+    exponent beyond ``MAX_RATIO_EXPONENT`` either way is a ValueError."""
+    m = _EXPONENT_RE.search(ratio)
+    if m:
+        digits = m.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 3 or int(digits or "0") > MAX_RATIO_EXPONENT:
+            raise ValueError(f"commodity ratio {ratio} has an exponent beyond "
+                             f"e±{MAX_RATIO_EXPONENT}")
     try:
         return Fraction(ratio)
     except ZeroDivisionError:

@@ -86,42 +86,59 @@ def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
     still-retained paths (a repeated edge counts once); on ties the
     higher index is dropped, so lower indices win.  Disjoint input is
     returned in full, and re-running on the retained subset is the
-    identity.
+    identity.  Edge ids are non-negative integers, such as a graph's
+    edge ids, since the lists below are as long as the largest id; a
+    negative one raises ValueError.
 
-    Incremental: one pass over the paths records each edge's users, and
-    with them each path's overlap.  A max-heap on ``(overlap, index)``
-    yields the path to drop; overlaps only fall, so an entry whose count
-    no longer matches is stale and skipped.  A drop lowers its edges'
-    loads, and an edge left with one user costs that user one overlap.
-    The cost is O((total path length + drops) log k), not a rescan of
-    every retained path per drop.
+    Incremental: one pass over each path's edge set fills two lists
+    indexed by edge id: ``loads[e]``, how many retained paths hold
+    ``e``, and ``holders[e]``, the XOR of their indices.  The same pass
+    counts each path's overlap: an edge that a path finds already held
+    is shared, and the edge's first holder gains one overlap when its
+    load reaches 2.  A max-heap on ``overlap * k + index`` yields the
+    path to drop; overlaps only fall, so an entry whose count no longer
+    matches is stale and skipped.  A drop XORs its index out of each of
+    its edges, so an edge left with load 1 holds its last holder's index
+    in ``holders[e]``, and that holder loses one overlap.  The cost is
+    O((total path length + drops) log k), with no search for a holder.
     """
-    users: dict[int, list[int]] = {}
-    for i, p in enumerate(paths):
-        for e in set(p):
-            users.setdefault(e, []).append(i)
-    loads = {e: len(u) for e, u in users.items()}
-    overlap = [0] * len(paths)
-    for u in users.values():
-        if len(u) >= 2:
-            for i in u:
-                overlap[i] += 1
-    heap = [(-o, -i) for i, o in enumerate(overlap) if o]
+    sets = [set(p) for p in paths]
+    if any(s and min(s) < 0 for s in sets):
+        raise ValueError("edge ids must be non-negative")
+    size = max((max(s) for s in sets if s), default=-1) + 1
+    loads = [0] * size
+    holders = [0] * size
+    k = len(paths)
+    overlap = [0] * k
+    for i, s in enumerate(sets):
+        shared = 0
+        for e in s:
+            load = loads[e]
+            if load:
+                shared += 1
+                if load == 1:
+                    overlap[holders[e]] += 1
+            loads[e] = load + 1
+            holders[e] ^= i
+        overlap[i] = shared
+    heap = [-(o * k + i) for i, o in enumerate(overlap) if o]
     heapq.heapify(heap)
-    retained = [True] * len(paths)
+    retained = [True] * k
     while heap:
-        neg_o, neg_d = heapq.heappop(heap)
-        d = -neg_d
-        if -neg_o != overlap[d]:
+        o, d = divmod(-heapq.heappop(heap), k)
+        if o != overlap[d]:
             continue
         retained[d] = False
-        for e in set(paths[d]):
-            loads[e] -= 1
-            if loads[e] == 1:
-                last = next(i for i in users[e] if retained[i])
-                overlap[last] -= 1
-                if overlap[last]:
-                    heapq.heappush(heap, (-overlap[last], -last))
+        for e in sets[d]:
+            load = loads[e] - 1
+            loads[e] = load
+            holders[e] ^= d
+            if load == 1:
+                last = holders[e]
+                o = overlap[last] - 1
+                overlap[last] = o
+                if o:
+                    heapq.heappush(heap, -(o * k + last))
     return [i for i, kept in enumerate(retained) if kept]
 
 

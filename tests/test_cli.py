@@ -92,6 +92,12 @@ BAD_INPUT = {
     "non-numeric spec ratio": lambda g, c, d: (
         "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=abc\n"),
         "--out", d / "o.csv"),
+    "huge spec ratio exponent": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=1e999999999\n"),
+        "--out", d / "o.csv"),
+    "huge negative spec ratio exponent": lambda g, c, d: (
+        "bench", "--spec", _spec(d, "graph=mesh:3x3\nratios=1e-999999999\n"),
+        "--out", d / "o.csv"),
     "nan spec time limit": lambda g, c, d: (
         "bench", "--spec",
         _spec(d, "graph=mesh:3x3\nratios=0.5\ninstances=1\ntime_limit=nan\n"),
@@ -116,6 +122,12 @@ BAD_INPUT_NAMES = {
     "non-integer spec instances": "spec line 3: instances=x: ",
     "commented spec instances": "spec line 7: instances=x: ",
     "non-numeric spec ratio": "spec line 2: ratios=abc: ",
+    "huge spec ratio exponent":
+        "spec line 2: ratios=1e999999999: commodity ratio 1e999999999 has an "
+        "exponent beyond e±400",
+    "huge negative spec ratio exponent":
+        "spec line 2: ratios=1e-999999999: commodity ratio 1e-999999999 has an "
+        "exponent beyond e±400",
     "empty spec ratios": "needs at least one commodity ratio",
     "blank spec ratios": "needs at least one commodity ratio",
     "overflowing graph weight": "line 2: bad weight '1e999999999'",

@@ -235,6 +235,13 @@ def test_extract_disjoint_cases(paths, kept):
     assert oracles.extract_disjoint_reference(paths) == kept
 
 
+def test_extract_disjoint_rejects_a_negative_edge_id():
+    # a negative id would wrap around a list indexed by edge id
+    for paths in ([(0, -1), (2,)], [(-3,), (-3,)]):
+        with pytest.raises(ValueError, match="non-negative"):
+            extract_disjoint(paths)
+
+
 def test_greedy_complete_keeps_every_kept_path():
     rng = random.Random(9)
     for _ in range(40):

@@ -7,18 +7,22 @@ tokens are numbers out of range, ``nan``/``inf``/``-0``, huge integers,
 exponents, separators and non-ASCII text.  Whatever the text, each
 call returns or raises its documented error.
 
-Exponents stay within ``e±400``.  ``parse_spec`` reads a ratio with
-``Fraction``, which expands the exponent into an exact integer, so a
-ratio such as ``1e-999999999`` does not return in any useful time;
-that is an open defect, not a documented error.
+The last property runs ``cli.main`` on such files with valid flags:
+every run exits 0, 1 or 3, prints no traceback and leaves its input
+files as they were.
 """
 
+import io
 import random
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from functools import lru_cache
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treeroute import cli
 from treeroute import (
     EdpInstance,
     GraphFormatError,
@@ -40,9 +44,10 @@ import oracles
 
 ODD_TOKENS = [
     "-1", "-0", "+1", "0", "1", "2", "3", "7", "99", "nan", "-nan", "inf",
-    "-inf", "Infinity", "1e400", "1e-400", "2E3", "0.5", "1.", ".5", "0.10",
-    "1/3", "1/0", "1_0", "0x1", "9" * 30, "1" + "0" * 5000, "٣", "１",
-    "é", "∞", "#", "=", ",", ":", "x", "mesh:2x2", "ls", "msga",
+    "-inf", "Infinity", "1e400", "1e-400", "1e-999999999", "2E3", "0.5",
+    "1.", ".5", "0.10", "1/3", "1/0", "1_0", "0x1", "9" * 30,
+    "1" + "0" * 5000, "٣", "１", "é", "∞", "#", "=", ",", ":", "x",
+    "mesh:2x2", "ls", "msga",
 ]
 
 EDITS = ("replace", "drop", "add", "drop line", "repeat line", "insert line")
@@ -175,3 +180,69 @@ def test_every_solver_dump_verifies(seed, solver):
     inst = _instance(seed)
     solution, _ = solver(inst, SearchConfig(seed=seed, iter_cap=3))
     assert verify_dump(solution_to_dump(solution, inst), inst) == []
+
+
+# a small valid spec and lines to add to it; every value keeps a run
+# cheap, so the property never starts a long benchmark, and jobs stays
+# at 1 so it starts no worker processes
+CLI_SPEC = "time_limit=0.01\ngraph=mesh:3x3\nratios=0.5\ninstances=1\niter_cap=2\n"
+
+CLI_SPEC_LINES = [
+    "graph=mesh:3x3", "graph=mesh:2x2", "graph=mesh:1x3", "graph=mesh:0x0",
+    "graph=random:5,6,1", "graph=random:1,0,0", "graph=random:4,9,2",
+    "graph=random:3,1,0", "graph=GRAPH", "graph=missing.txt", "graph=",
+    "ratios=0.5", "ratios=0.25,0.5", "ratios=1", "ratios=0", "ratios=2",
+    "ratios=1/0", "ratios=1e-999999999", "ratios=nan", "ratios=,",
+    "instances=1", "instances=2", "instances=0", "instances=-1",
+    "iter_cap=0", "iter_cap=2", "iter_cap=-1", "iter_cap=x",
+    "time_limit=0.01", "time_limit=0", "time_limit=nan", "time_limit=inf",
+    "seed=0", "seed=-3", "seed=x",
+    "solvers=ls", "solvers=msga", "solvers=ls,ls", "solvers=greedy",
+    "jobs=1", "jobs=0", "jobs=x", "bogus=1", "no equals sign", "# note",
+]
+
+CLI_COMMANDS = ("solve", "verify", "generate", "bench")
+
+
+def _cli_argv(command, d, graph, commodities, dump, spec, solver):
+    if command == "solve":
+        return ["solve", "--graph", graph, "--commodities", commodities,
+                "--solver", solver, "--iter-cap", "2", "--out", d / "out.txt"]
+    if command == "verify":
+        return ["verify", "--graph", graph, "--commodities", commodities,
+                "--dump", dump]
+    if command == "generate":
+        return ["generate", "commodities", "--graph", graph, "--count", "3",
+                "--out", d / "out.txt"]
+    return ["bench", "--spec", spec, "--out", d / "o.csv"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 39), command=st.sampled_from(CLI_COMMANDS),
+       solver=st.sampled_from(["ls", "msga"]), data=st.data())
+def test_the_command_line_exits_0_1_or_3_and_keeps_its_inputs(seed, command,
+                                                              solver, data):
+    inst = _instance(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        files = {
+            "g.txt": data.draw(near(graph_to_text(inst.graph))),
+            "c.txt": data.draw(near(commodities_to_text(inst.commodities))),
+            "d.txt": data.draw(near(_dump(seed, solve_ls if solver == "ls"
+                                          else solve_msga))),
+        }
+        graph, commodities, dump = (d / name for name in files)
+        lines = data.draw(st.lists(st.sampled_from(CLI_SPEC_LINES), max_size=3))
+        files["bench.spec"] = CLI_SPEC + "".join(
+            line.replace("GRAPH", str(graph)) + "\n" for line in lines)
+        for name, text in files.items():
+            (d / name).write_text(text, encoding="utf-8")
+        inputs = {p: p.read_bytes() for p in d.iterdir()}
+        argv = _cli_argv(command, d, graph, commodities, dump,
+                         d / "bench.spec", solver)
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        assert code in (cli.EXIT_OK, cli.EXIT_ERROR, cli.EXIT_VERIFY_FAILED)
+        assert "Traceback" not in err.getvalue()
+        assert {p: p.read_bytes() for p in inputs} == inputs
