@@ -35,7 +35,7 @@ from functools import lru_cache
 
 from .edp import SOLVERS, EdpInstance
 from .generators import generate_commodities, generate_mesh, generate_random_connected
-from .graph import Graph, _content_lines, load_graph
+from .graph import MAX_DECIMAL_EXPONENT, Graph, _content_lines, load_graph
 from .search import SearchConfig
 
 RAW_HEADER = ("graph", "ratio", "k", "solver", "seed", "q", "t_s")
@@ -83,20 +83,20 @@ class BenchmarkSpec:
 
 
 # ``Fraction`` expands a decimal exponent into an exact power of ten, so
-# ``1e-999999999`` would not return; an exponent past this is refused.
-MAX_RATIO_EXPONENT = 400
+# ``1e-999999999`` would not return; an exponent past
+# ``MAX_DECIMAL_EXPONENT`` is refused, as in graph weights.
 _EXPONENT_RE = re.compile(r"e[-+]?(\d[\d_]*)\s*\Z", re.IGNORECASE)
 
 
 def _ratio(ratio: str) -> Fraction:
     """The exact value of a commodity ratio as written in a spec; an
-    exponent beyond ``MAX_RATIO_EXPONENT`` either way is a ValueError."""
+    exponent beyond ``MAX_DECIMAL_EXPONENT`` either way is a ValueError."""
     m = _EXPONENT_RE.search(ratio)
     if m:
         digits = m.group(1).replace("_", "").lstrip("0")
-        if len(digits) > 3 or int(digits or "0") > MAX_RATIO_EXPONENT:
+        if len(digits) > 3 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
             raise ValueError(f"commodity ratio {ratio} has an exponent beyond "
-                             f"e±{MAX_RATIO_EXPONENT}")
+                             f"e±{MAX_DECIMAL_EXPONENT}")
     try:
         return Fraction(ratio)
     except ZeroDivisionError:

@@ -14,7 +14,9 @@ Weight columns are parsed from fixed-decimal text and stored as exact
 integers, one shared power-of-ten scale per column, so that every cost
 and every cost delta computed downstream is exact integer arithmetic.
 A weight that decimal's default context cannot hold exactly (more than
-28 significant digits, or an exponent out of its range) is a bad weight.
+28 significant digits, or an exponent out of its range) is a bad weight,
+and one whose normalised exponent lies beyond ``e±MAX_DECIMAL_EXPONENT``
+is refused too.
 
 Text formats
 ------------
@@ -35,6 +37,9 @@ from typing import Iterable, Sequence
 # The default context, except that any rounding raises (an overflow is
 # a rounding too), so a weight it cannot hold exactly is reported.
 _EXACT = Context(traps=[Inexact])
+# A weight's column scale and integer value grow as ten to its exponent,
+# so an exponent past this either way (after normalising) is refused.
+MAX_DECIMAL_EXPONENT = 400
 
 
 class GraphFormatError(ValueError):
@@ -411,6 +416,10 @@ def load_graph(text: str) -> Graph:
                 ) from None
             if d < 0:
                 raise GraphFormatError(f"line {lineno}: negative weight {tok!r}")
+            if abs(d.as_tuple().exponent) > MAX_DECIMAL_EXPONENT:
+                raise GraphFormatError(
+                    f"line {lineno}: weight {tok!r} has an exponent beyond "
+                    f"e±{MAX_DECIMAL_EXPONENT}")
             row.append(d)
         edges.append((u, v))
         raw_weights.append(row)
@@ -422,7 +431,7 @@ def load_graph(text: str) -> Graph:
         for row in raw_weights:
             scale = max(scale, -row[k].as_tuple().exponent)
         scales.append(scale)
-    # in integers: a scaled weight may exceed the context's exponent range
+    # in integers: a scaled weight may need more digits than the context has
     int_weights = []
     for row in raw_weights:
         ratios = [d.as_integer_ratio() for d in row]

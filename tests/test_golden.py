@@ -32,6 +32,7 @@ from treeroute import (
 )
 from treeroute.bench import commodity_count, resolve_graph
 from treeroute.edp import build_model
+from treeroute.treevar import _MAX_TRIE_DEGREE
 
 import oracles
 
@@ -74,6 +75,12 @@ MSGA_GOLDEN = {
     2: "449be7f30dc44137bbd0cfe25733affbbcf5f6698f31627849f8a980008d6e63",
 }
 
+# A random graph (30 nodes, 70 edges) where 8 nodes have more incidences
+# than ``treevar``'s shuffle tries cover, so both ways of ordering a
+# node's incidences decide this run; its 22 restarts redraw trees too.
+RANDOM_LS_GOLDEN = (
+    "dcd7c6a514fe40bf1c01463b723fb1b20eb933fea64e9a21fcd6a15dab9b937a")
+
 PATH_COST_GOLDEN = (
     "9c0b04bdde723cccd5b888d71026cec08f3512d8f5ac47a2126ee00e8bbfc6c2")
 
@@ -113,6 +120,16 @@ def test_capped_ls_digest_at_dense_benchmark_scale():
     inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
     solution, trace = solve_ls(inst, SearchConfig(seed=0, iter_cap=20))
     assert _digest(solution_to_dump(solution, inst), trace) == DENSE_LS_GOLDEN
+
+
+def test_capped_ls_digest_on_a_random_graph_with_high_degrees():
+    _, g = resolve_graph("random:30,70,2")
+    assert sum(len(inc) > _MAX_TRIE_DEGREE for inc in g.neighbors) == 8
+    k = commodity_count("0.25", g.node_count)
+    inst = EdpInstance(g, tuple(generate_commodities(g, k, 0)))
+    solution, trace = solve_ls(inst, SearchConfig(seed=0, iter_cap=80))
+    assert sum(kind == "restart" for _, kind, _ in trace.events) == 22
+    assert _digest(solution_to_dump(solution, inst), trace) == RANDOM_LS_GOLDEN
 
 
 @pytest.mark.parametrize("seed", sorted(MSGA_GOLDEN))

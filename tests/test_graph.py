@@ -104,10 +104,26 @@ class TestLoadGraph:
         with pytest.raises(GraphFormatError, match=f"line 2: bad weight '{weight}'"):
             load_graph(f"2 1\n0 1 {weight}\n")
 
-    def test_weights_scale_past_the_decimal_exponent_range(self):
-        g = load_graph("3 2\n0 1 1e-1000000\n1 2 5\n")
-        assert g.weight_scales == (1000000,)
-        assert g.weights == ((1,), (5 * 10 ** 1000000,))
+    def test_weights_scale_exactly_up_to_the_exponent_bound(self):
+        g = load_graph("3 2\n0 1 1e-400\n1 2 5e400\n")
+        assert g.weight_scales == (400,)
+        assert g.weights == ((1,), (5 * 10 ** 800,))
+        again = load_graph(graph_to_text(g))
+        assert (again.weights, again.weight_scales) == (g.weights, g.weight_scales)
+        # the bound applies after normalising
+        assert load_graph("2 1\n0 1 100e-402\n").weight_scales == (400,)
+
+    @pytest.mark.parametrize("weight", [
+        "1e401", "1e-401", "0.0001e-397",
+        # a column scale of about 10**6 took seconds to apply
+        "1e-999999", "1e999999", "1e-1000000",
+        # found by test_text_fuzz: it loaded, and graph_to_text then hit
+        # Python's 4,300-digit limit on int-to-str conversion
+        pytest.param("1" + "0" * 5000, id="1-and-5000-zeros")])
+    def test_weight_beyond_the_exponent_bound_names_line(self, weight):
+        with pytest.raises(GraphFormatError, match=(
+                f"line 2: weight '{weight}' has an exponent beyond e±400")):
+            load_graph(f"2 1\n0 1 {weight}\n")
 
     def test_decimal_weights_scaled_exactly(self):
         g = load_graph("2 1\n0 1 1.25 3\n")

@@ -14,6 +14,7 @@ from treeroute import (
     path_nodes,
 )
 from treeroute.generators import generate_mesh, generate_random_connected
+from treeroute.treevar import _MAX_TRIE_DEGREE, _SHUFFLE_STEPS, _SHUFFLE_TRIES
 
 import oracles
 
@@ -109,9 +110,11 @@ def graph_root_seed(draw):
 @settings(max_examples=300, deadline=None)
 @given(graph_root_seed())
 def test_random_trees_draw_as_random_shuffle(case):
-    # The tree construction inlines CPython's Fisher-Yates shuffle; it
-    # must give the trees and leave the rng state that random.shuffle
-    # does, for random_tree and for reinit_random (the restarts).
+    # The tree construction makes CPython's Fisher-Yates draws inline and
+    # takes each node's order from a per-degree trie (or, above the
+    # tries' degrees, swaps in place); it must give the trees and leave
+    # the rng state that random.shuffle does, for random_tree and for
+    # reinit_random (the restarts).
     g, root, seed = case
     rng, ref_rng = random.Random(seed), random.Random(seed)
 
@@ -124,6 +127,40 @@ def test_random_trees_draw_as_random_shuffle(case):
     check(tree)
     tree.reinit_random(rng)
     check(tree)
+
+
+class _ScriptedRandom(random.Random):
+    """Answers getrandbits from a script and logs each call's bits."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.draws = iter(draws)
+        self.bits = []
+
+    def getrandbits(self, k):
+        self.bits.append(k)
+        return next(self.draws)
+
+
+@pytest.mark.parametrize("d", range(_MAX_TRIE_DEGREE + 1))
+def test_shuffle_trie_leaves_are_the_fisher_yates_orders(d):
+    # Every accepted draw sequence (j <= i at each step i = d-1 ... 1)
+    # walks to the order random.shuffle gives on range(d) for the same
+    # draws, and the leaves are the d! orders, each reached once.
+    steps = _SHUFFLE_STEPS[d]
+    assert [i for i, _ in steps] == list(range(d - 1, 0, -1))
+    leaves = []
+    for draws in itertools.product(*(range(i + 1) for i, _ in steps)):
+        node = _SHUFFLE_TRIES[d]
+        for j in draws:
+            node = node[j]
+        rng = _ScriptedRandom(draws)
+        order = list(range(d))
+        rng.shuffle(order)
+        assert rng.bits == [bits for _, bits in steps]
+        assert node == tuple(order)
+        leaves.append(node)
+    assert sorted(leaves) == sorted(itertools.permutations(range(d)))
 
 
 class TestInducedPath:
