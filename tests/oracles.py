@@ -1,8 +1,9 @@
 """Independent reference implementations used to check the package.
 
 Everything here deliberately avoids the package's own fast paths:
-cycles come from networkx, paths from breadth-first search over explicit
-edge sets, violations from plain counting over explicit path lists.
+cycles come from networkx or from the two endpoints' father chains,
+paths from breadth-first search over explicit edge sets, violations
+from plain counting over explicit path lists.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from collections import deque
 
 import networkx as nx
 
-from treeroute import BasicMove, Graph, RootedSpanningTree
+from treeroute import BasicMove, EdpSolution, Graph, RootedSpanningTree
+from treeroute import search
 
 
 def to_networkx(g: Graph) -> nx.Graph:
@@ -294,3 +296,176 @@ def explore_one_move_reference(tree, objective, rng: random.Random):
         if delta(move) < 0:
             return move
     return None
+
+
+# -- the local-search solver, written plainly ---------------------------------
+#
+# A tree is its root and its father lists; every query below derives what
+# it needs from them afresh: the induced path by walking the fathers, a
+# fundamental cycle from the two endpoints' chains to the root, a move by
+# rebuilding the fathers from the swapped edge set, a delta by recounting
+# the violation of every path.
+
+
+def _fathers_from_edges(g: Graph, root: int, tree_edges):
+    """Father lists of the spanning tree ``tree_edges`` hung from ``root``."""
+    father_node = [-1] * g.node_count
+    father_edge = [-1] * g.node_count
+    seen = {root}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for eid, w in g.neighbors[u]:
+            if eid in tree_edges and w not in seen:
+                seen.add(w)
+                father_node[w] = u
+                father_edge[w] = eid
+                queue.append(w)
+    return father_node, father_edge
+
+
+def _root_chain(fathers, x: int) -> list[int]:
+    """Father edges from ``x`` up to the root."""
+    father_node, father_edge = fathers
+    chain = []
+    while father_edge[x] >= 0:
+        chain.append(father_edge[x])
+        x = father_node[x]
+    return chain
+
+
+def _preferred_moves(g: Graph, fathers, source: int):
+    """``(e_in, outs)`` for every non-tree edge, ascending, whose cycle
+    meets the induced path; ``outs`` are those path edges in path order."""
+    path = _root_chain(fathers, source)
+    tree_edges = set(fathers[1])
+    moves = []
+    for e_in, (u, v) in enumerate(g.edges):
+        if e_in in tree_edges:
+            continue
+        cycle = set(_root_chain(fathers, u)) ^ set(_root_chain(fathers, v))
+        outs = tuple(e for e in path if e in cycle)
+        if outs:
+            moves.append((e_in, outs))
+    return moves
+
+
+def _moved(g: Graph, fathers, root: int, e_in: int, e_out: int):
+    tree_edges = set(fathers[1]) - {-1, e_out} | {e_in}
+    return _fathers_from_edges(g, root, tree_edges)
+
+
+def solve_ls_reference(inst, cfg):
+    """Capped ``edp.solve_ls`` written plainly: one random breadth-first
+    tree per commodity from ``random.Random(cfg.seed)``
+    (:func:`random_fathers_reference`), then ``cfg.iter_cap`` iterations
+    of the one-move descent with a second ``random.Random(cfg.seed)``,
+    making the draws ``search.run`` makes.  Each iteration shuffles the
+    tree order and scans each tree's shuffled preferred moves, drawing a
+    removal for each and accepting the first whose full violation
+    recount is lower; a failed scan evaluates and then kicks,
+    perturbation first, restart next.  An evaluation is the reference
+    extraction and the reference completion in index order, kept when it
+    is the first or routes strictly more.  Returns the best solution,
+    ``trace.improvements`` and ``trace.events``."""
+    g = inst.graph
+    commodities = inst.commodities
+    k = len(commodities)
+    build_rng = random.Random(cfg.seed)
+    fathers = [random_fathers_reference(g, c.target, build_rng)
+               for c in commodities]
+    rng = random.Random(cfg.seed)
+
+    def paths():
+        return [tuple(_root_chain(f, c.source))
+                for f, c in zip(fathers, commodities)]
+
+    def violation_with(i, moved):
+        current = paths()
+        current[i] = tuple(_root_chain(moved, commodities[i].source))
+        return violation_count(current)
+
+    def conflicted():
+        current = paths()
+        loads: dict[int, int] = {}
+        for p in current:
+            for e in p:
+                loads[e] = loads.get(e, 0) + 1
+        return [i for i, p in enumerate(current) if any(loads[e] >= 2 for e in p)]
+
+    best = None
+
+    def evaluate(clock):
+        nonlocal best
+        current = paths()
+        kept = {i: current[i] for i in extract_disjoint_reference(current)}
+        pending = [(i, c) for i, c in enumerate(commodities) if i not in kept]
+        routed = greedy_complete_reference(g, kept, pending)
+        if best is None or len(routed) > len(best[0]):
+            best = (routed, violation_count(current), clock)
+
+    def scan(i):
+        pairs = _preferred_moves(g, fathers[i], commodities[i].source)
+        rng.shuffle(pairs)
+        before = violation_count(paths())
+        for e_in, outs in pairs:
+            e_out = rng.choice(outs)
+            moved = _moved(g, fathers[i], commodities[i].target, e_in, e_out)
+            if violation_with(i, moved) < before:
+                return moved
+        return None
+
+    def perturb():
+        targets = conflicted() or rng.sample(range(k), min(2, k))
+        for i in targets:
+            for _ in range(search.PERTURBATION_MOVES):
+                choices = _preferred_moves(g, fathers[i], commodities[i].source)
+                if not choices:
+                    break
+                before = violation_count(paths())
+                picked = None
+                for _ in range(12):
+                    e_in, outs = rng.choice(choices)
+                    moved = _moved(g, fathers[i], commodities[i].target,
+                                   e_in, rng.choice(outs))
+                    if violation_with(i, moved) <= before:
+                        picked = moved
+                        break
+                    if picked is None:
+                        picked = moved
+                fathers[i] = picked
+
+    def restart():
+        for i in conflicted() or [rng.choice(range(k))]:
+            fathers[i] = random_fathers_reference(g, commodities[i].target, rng)
+
+    improvements = [(0.0, violation_count(paths()))]
+    events = []
+    evaluate(0.0)
+    kicks = 0
+    for iteration in range(1, cfg.iter_cap + 1):
+        clock = float(iteration)
+        order = list(range(k))
+        rng.shuffle(order)
+        for i in order:
+            moved = scan(i)
+            if moved is not None:
+                fathers[i] = moved
+                value = violation_count(paths())
+                events.append((clock, "accept:one-move", value))
+                if value < improvements[-1][1]:
+                    improvements.append((clock, value))
+                    evaluate(clock)
+                break
+        else:
+            evaluate(clock)
+            kicks += 1
+            if kicks % 2 == 1:
+                perturb()
+                event = "perturbation"
+            else:
+                restart()
+                event = "restart"
+            events.append((clock, event, violation_count(paths())))
+    routed, violation, best_time = best
+    return EdpSolution(routed, violation, best_time), improvements, events

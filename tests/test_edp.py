@@ -100,7 +100,7 @@ def test_msga_without_passes_routes_nothing():
     assert (trace.best_value, trace.best_time) == (0, 0.0)
 
 
-def msga_instance(rng):
+def small_instance(rng):
     """A random connected graph of 4-30 nodes with 1-12 commodities, some
     of them repeating or reversing an earlier pair."""
     g = oracles.random_connected_graph(rng, rng.randint(4, 30), rng.randint(0, 30))
@@ -119,7 +119,7 @@ def msga_instance(rng):
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), iter_cap=st.integers(1, 6))
 def test_capped_msga_matches_the_reference_solver(seed, iter_cap):
-    inst = msga_instance(random.Random(seed))
+    inst = small_instance(random.Random(seed))
     cfg = SearchConfig(seed=seed, iter_cap=iter_cap)
     solution, trace = solve_msga(inst, cfg)
     routed, improvements = oracles.solve_msga_reference(inst, cfg)
@@ -128,11 +128,23 @@ def test_capped_msga_matches_the_reference_solver(seed, iter_cap):
     assert trace.improvements == improvements
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), iter_cap=st.integers(0, 8))
+def test_capped_ls_matches_the_reference_solver(seed, iter_cap):
+    inst = small_instance(random.Random(seed))
+    cfg = SearchConfig(seed=seed, iter_cap=iter_cap)
+    solution, trace = solve_ls(inst, cfg)
+    expected, improvements, events = oracles.solve_ls_reference(inst, cfg)
+    assert solution_to_dump(solution, inst) == solution_to_dump(expected, inst)
+    assert trace.improvements == improvements
+    assert trace.events == events
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(1, 5), more=st.integers(1, 5))
 def test_more_msga_passes_only_gain(seed, a, more):
     # the passes of a longer capped run begin with those of a shorter one
-    inst = msga_instance(random.Random(seed))
+    inst = small_instance(random.Random(seed))
     short, short_trace = solve_msga(inst, SearchConfig(seed=seed, iter_cap=a))
     long, long_trace = solve_msga(inst, SearchConfig(seed=seed, iter_cap=a + more))
     assert [x for x in long_trace.improvements if x[0] <= a] == short_trace.improvements
