@@ -18,7 +18,6 @@ from nothing, in a random commodity order; the best pass wins.
 
 from __future__ import annotations
 
-import heapq
 import random
 import time
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import Mapping, Sequence
 
 from .graph import (Commodity, FreeEdges, Graph, WholeGraphPaths,
                     _content_lines, path_nodes, shortest_path_avoiding)
-from .objectives import PathEdgeDisjoint
+from .objectives import PathEdgeDisjoint, _add_path, _drop_shared
 from .search import SearchConfig, SearchTrace, run
 from .treevar import RootedSpanningTree
 
@@ -90,17 +89,14 @@ def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
     edge ids, since the lists below are as long as the largest id; a
     negative one raises ValueError.
 
-    Incremental: one pass over each path's edge set fills two lists
-    indexed by edge id: ``loads[e]``, how many retained paths hold
-    ``e``, and ``holders[e]``, the XOR of their indices.  The same pass
-    counts each path's overlap: an edge that a path finds already held
-    is shared, and the edge's first holder gains one overlap when its
-    load reaches 2.  A max-heap on ``overlap * k + index`` yields the
-    path to drop; overlaps only fall, so an entry whose count no longer
-    matches is stale and skipped.  A drop XORs its index out of each of
-    its edges, so an edge left with load 1 holds its last holder's index
-    in ``holders[e]``, and that holder loses one overlap.  The cost is
-    O((total path length + drops) log k), with no search for a holder.
+    Incremental, with the two steps by which
+    :class:`~treeroute.objectives.PathEdgeDisjoint` keeps the same state:
+    each path is counted in (``_add_path``) to per-edge loads, the XOR of
+    each edge's holders and each path's count of shared edges, and the
+    drops (``_drop_shared``) then find an edge's last holder in O(1).
+    The cost is O((total path length + drops) log k).  The local search
+    never counts paths in here: its constraint keeps this state, and
+    :meth:`PathEdgeDisjoint.extract_disjoint` runs only the drops.
     """
     sets = [set(p) for p in paths]
     if any(s and min(s) < 0 for s in sets):
@@ -108,38 +104,10 @@ def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
     size = max((max(s) for s in sets if s), default=-1) + 1
     loads = [0] * size
     holders = [0] * size
-    k = len(paths)
-    overlap = [0] * k
+    overlap = [0] * len(sets)
     for i, s in enumerate(sets):
-        shared = 0
-        for e in s:
-            load = loads[e]
-            if load:
-                shared += 1
-                if load == 1:
-                    overlap[holders[e]] += 1
-            loads[e] = load + 1
-            holders[e] ^= i
-        overlap[i] = shared
-    heap = [-(o * k + i) for i, o in enumerate(overlap) if o]
-    heapq.heapify(heap)
-    retained = [True] * k
-    while heap:
-        o, d = divmod(-heapq.heappop(heap), k)
-        if o != overlap[d]:
-            continue
-        retained[d] = False
-        for e in sets[d]:
-            load = loads[e] - 1
-            loads[e] = load
-            holders[e] ^= d
-            if load == 1:
-                last = holders[e]
-                o = overlap[last] - 1
-                overlap[last] = o
-                if o:
-                    heapq.heappush(heap, -(o * k + last))
-    return [i for i, kept in enumerate(retained) if kept]
+        _add_path(loads, holders, overlap, i, s)
+    return _drop_shared(sets, loads, holders, overlap)
 
 
 def greedy_complete(
@@ -184,16 +152,29 @@ def greedy_complete(
     return routed
 
 
+def _complete(
+    g: Graph,
+    commodities: Sequence[Commodity],
+    paths: Sequence[Sequence[int]],
+    retained: Sequence[int],
+) -> dict[int, tuple[int, ...]]:
+    """Greedy completion around the ``retained`` paths (ascending
+    indices), with the other commodities pending in index order."""
+    kept = {i: paths[i] for i in retained}
+    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
+    return greedy_complete(g, kept, pending)
+
+
 def evaluate_assignment(
     g: Graph,
     commodities: Sequence[Commodity],
     paths: Sequence[Sequence[int]],
 ) -> dict[int, tuple[int, ...]]:
     """Feasible routing reachable from the given (possibly conflicting)
-    paths: extraction followed by greedy completion."""
-    kept = {i: paths[i] for i in extract_disjoint(paths)}
-    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
-    return greedy_complete(g, kept, pending)
+    paths: extraction followed by greedy completion.  :func:`solve_ls`
+    gets the same routing from its constraint's kept state, with the
+    same completion step."""
+    return _complete(g, commodities, paths, extract_disjoint(paths))
 
 
 def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchTrace]:
@@ -203,8 +184,13 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     solutions are extracted from the search's ``evaluate`` hook (the
     initial trees, every new violation best and every one-move local
     minimum; see ``search.run``), and the first one with the most
-    routed commodities is returned.  The trees are left in their
-    final search state, not the one that gave the best routing.
+    routed commodities is returned.  An evaluation is
+    :func:`evaluate_assignment` of the induced paths, with the same
+    routing, but its extraction only runs the drops
+    (:meth:`PathEdgeDisjoint.extract_disjoint`): the constraint already
+    keeps the loads, holders and overlaps they start from.  The trees
+    are left in their final search state, not the one that gave the
+    best routing.
 
     In budget mode the clock starts on entry, so building the model
     counts against ``time_limit_s``, and trace times and ``best_time``
@@ -217,8 +203,9 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
 
     def evaluate(clock: float) -> None:
         nonlocal best
+        retained = constraint.extract_disjoint()
         paths = [tree.induced_path() for tree in constraint.trees]
-        routed = evaluate_assignment(inst.graph, inst.commodities, paths)
+        routed = _complete(inst.graph, inst.commodities, paths, retained)
         if best is None or len(routed) > best.objective:
             best = EdpSolution(routed, constraint.value(), clock)
 

@@ -34,7 +34,13 @@ an endpoint ``x`` of the inserted edge to the path.  An O(1) bound on
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
-load per edge.
+load per edge.  Its ``_update`` also keeps the state that extraction
+(``edp.extract_disjoint``) starts its drops from: the XOR of each edge's
+holders and each path's count of shared edges.  One add step,
+:func:`_add_path`, counts a path in for both of them, and one drop step,
+:func:`_drop_shared`, runs extraction's drops on that state, so
+:meth:`PathEdgeDisjoint.extract_disjoint` extracts from the current
+trees without a first pass.
 
 Differentiables compose: ``a + b`` and ``a - b`` (or :func:`combine`)
 build arithmetic expressions, and :func:`compare` turns a pair of
@@ -45,6 +51,7 @@ node, whose move delta is its function after the move minus before.
 
 from __future__ import annotations
 
+import heapq
 from typing import Iterable, Sequence
 
 from .treevar import BasicMove, RootedSpanningTree
@@ -218,6 +225,64 @@ class PathCost(Differentiable):
         return self._cost(tree.simulate_path(move)) - self._value
 
 
+def _add_path(loads: list[int], holders: list[int], overlap: list[int],
+              i: int, edges: Iterable[int]) -> int:
+    """Count path ``i``, given as its edge set, in: each edge's load
+    rises by one and ``i`` is XORed into its holders.  An edge the path
+    finds already held is shared, and when its load reaches 2 its
+    previous holder, ``holders[e]`` before the XOR, gains one overlap.
+    Sets ``overlap[i]`` to the path's shared edges and returns that
+    count, which is also what the path adds to the violation."""
+    shared = 0
+    for e in edges:
+        load = loads[e]
+        if load:
+            shared += 1
+            if load == 1:
+                overlap[holders[e]] += 1
+        loads[e] = load + 1
+        holders[e] ^= i
+    overlap[i] = shared
+    return shared
+
+
+def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
+                 holders: list[int], overlap: list[int]) -> list[int]:
+    """Extraction's drops: indices of the paths kept after repeatedly
+    dropping the path with the most shared edges, the higher index on
+    ties.  Starts from the state :func:`_add_path` leaves for all of
+    ``edge_sets`` and uses it up: the lists are changed in place.
+
+    A max-heap on ``overlap * k + index`` yields the path to drop; the
+    keys are unique, so neither the heap nor the order in which a set
+    lists its edges decides a drop.  Overlaps only fall, so an entry
+    whose count no longer matches is stale and skipped.  A drop XORs
+    its index out of each of its edges, so an edge left with load 1
+    holds its last holder's index in ``holders[e]``, and that holder
+    loses one overlap.  The cost is O((drops' edges + drops) log k),
+    with no search for a holder."""
+    k = len(edge_sets)
+    heap = [-(o * k + i) for i, o in enumerate(overlap) if o]
+    heapq.heapify(heap)
+    retained = [True] * k
+    while heap:
+        o, d = divmod(-heapq.heappop(heap), k)
+        if o != overlap[d]:
+            continue
+        retained[d] = False
+        for e in edge_sets[d]:
+            load = loads[e] - 1
+            loads[e] = load
+            holders[e] ^= d
+            if load == 1:
+                last = holders[e]
+                o = overlap[last] - 1
+                overlap[last] = o
+                if o:
+                    heapq.heappush(heap, -(o * k + last))
+    return [i for i, kept in enumerate(retained) if kept]
+
+
 class PathEdgeDisjoint(Differentiable):
     """Constraint: the registered trees' induced paths are mutually
     edge-disjoint.
@@ -227,6 +292,20 @@ class PathEdgeDisjoint(Differentiable):
     It is zero exactly when the paths are pairwise edge-disjoint.
     Induced paths are elementary, so a path's edge set counts each of
     its edges once, as the path does.
+
+    Besides ``loads`` and one frozenset per tree (``edge_sets``), the
+    constraint keeps, for the trees' paths as last refreshed:
+
+    * ``holders[e]``, the XOR of the indices of the trees that use
+      ``e``, so an edge with load 1 names its holder;
+    * ``overlap[i]``, how many of tree ``i``'s edges have load 2 or
+      more.
+
+    ``_update(i, path)`` takes tree ``i``'s old edges out, and an edge
+    whose load falls from 2 to 1 costs its remaining holder
+    (``holders[e]`` once ``i`` is XORed out) one overlap; it then counts
+    the new edges in with :func:`_add_path`, which recounts
+    ``overlap[i]``.  Read these lists, do not write them.
     """
 
     kind = "constraint"
@@ -241,22 +320,26 @@ class PathEdgeDisjoint(Differentiable):
                     raise ValueError("all trees must share one graph")
             edge_count = g.edge_count
         self.loads = [0] * edge_count
+        self.holders = [0] * edge_count
+        self.overlap = [0] * len(self.trees)
+        self.edge_sets: list[frozenset[int]] = [frozenset()] * len(self.trees)
         self._violation = 0
-        self._cached_sets: list[frozenset[int]] = [frozenset()] * len(self.trees)
         self._refresh()
 
     def _update(self, i: int, path: tuple[int, ...]) -> None:
-        loads = self.loads
-        for e in self._cached_sets[i]:
-            if loads[e] >= 2:
-                self._violation -= 1
-            loads[e] -= 1
-        new_set = frozenset(path)
-        for e in new_set:
-            if loads[e] >= 1:
-                self._violation += 1
-            loads[e] += 1
-        self._cached_sets[i] = new_set
+        loads, holders, overlap = self.loads, self.holders, self.overlap
+        violation = self._violation
+        for e in self.edge_sets[i]:
+            load = loads[e] - 1
+            loads[e] = load
+            holders[e] ^= i
+            if load:
+                violation -= 1
+                if load == 1:
+                    overlap[holders[e]] -= 1
+        edges = frozenset(path)
+        self.edge_sets[i] = edges
+        self._violation = violation + _add_path(loads, holders, overlap, i, edges)
 
     def _current(self) -> int:
         return self._violation
@@ -265,7 +348,7 @@ class PathEdgeDisjoint(Differentiable):
         i = self._index.get(id(tree))
         if i is None:  # a tree this constraint does not watch
             return 0
-        old_set = self._cached_sets[i]
+        old_set = self.edge_sets[i]
         new_set = frozenset(tree.simulate_path(move))
         # the removed and added edge sets are disjoint: no load changes twice
         loads = self.loads
@@ -295,16 +378,19 @@ class PathEdgeDisjoint(Differentiable):
         ``A(u) + A(v) + [load(e_in) >= 1] - S(a, b)``, each edge counted
         once.
 
-        One walk along the path builds a prefix count of its shared
-        edges, so ``S(a, b) > [load(e_in) >= 1]``, which the delta needs
-        to be negative, is tested in O(1) first; only the pairs that
-        pass it walk chains, through
+        A path with no shared edge (``overlap`` 0) gets a predicate that
+        always answers False, without a walk.  Otherwise one walk along
+        the path builds a prefix count of its shared edges, so
+        ``S(a, b) > [load(e_in) >= 1]``, which the delta needs to be
+        negative, is tested in O(1) first; only the pairs that pass it
+        walk chains, through
         :meth:`~treeroute.treevar.RootedSpanningTree.chain_counter`,
-        whose counts are memoized for the predicate's lifetime.  A path
-        with no shared edge gets a predicate that always answers False.
+        whose counts are memoized for the predicate's lifetime.
         Same validity rule as :meth:`move_delta_fn`: the memo holds only
         while no registered tree (and so no load) changes."""
         self._validated_refresh(tree)
+        if not self.overlap[self._index[id(tree)]]:
+            return lambda e_in, removed: False
         loads = self.loads
         # shared[i]: shared edges among the first i path edges
         shared = [0]
@@ -313,8 +399,6 @@ class PathEdgeDisjoint(Differentiable):
             if loads[e] >= 2:
                 count += 1
             shared.append(count)
-        if not count:
-            return lambda e_in, removed: False
         join, chain_count = tree.chain_counter(loads)
         edges = tree.graph.edges
 
@@ -331,11 +415,16 @@ class PathEdgeDisjoint(Differentiable):
     def conflicted_trees(self) -> list[RootedSpanningTree]:
         """Trees whose paths currently share at least one edge."""
         self._refresh()
-        loads = self.loads
-        return [
-            tree for i, tree in enumerate(self.trees)
-            if any(loads[e] >= 2 for e in self._cached_sets[i])
-        ]
+        overlap = self.overlap
+        return [tree for i, tree in enumerate(self.trees) if overlap[i]]
+
+    def extract_disjoint(self) -> list[int]:
+        """``edp.extract_disjoint`` of the trees' current induced paths,
+        with the same result: the state it would count afresh is already
+        kept, so only the drops run, on copies of it."""
+        self._refresh()
+        return _drop_shared(self.edge_sets, self.loads.copy(),
+                            self.holders.copy(), self.overlap.copy())
 
 
 _OPS = {

@@ -197,14 +197,15 @@ def test_a_build_that_spends_the_budget_returns_the_initial_extraction(monkeypat
 def test_no_extraction_starts_after_the_time_limit(monkeypatch):
     # Scans start at 0.0, 0.3, 0.6 and 0.9 s; the last one ends at 1.2 s
     # with a new violation best, which must not be extracted any more.
+    # Every evaluation ends in one greedy completion, so that call marks it.
     evaluated_at = []
-    evaluate = edp.evaluate_assignment
+    complete = edp.greedy_complete
 
-    def recorded(g, commodities, paths):
+    def recorded(g, kept, pending, **kwargs):
         evaluated_at.append(search.time.monotonic() - 100.0)
-        return evaluate(g, commodities, paths)
+        return complete(g, kept, pending, **kwargs)
 
-    monkeypatch.setattr(edp, "evaluate_assignment", recorded)
+    monkeypatch.setattr(edp, "greedy_complete", recorded)
     _, solution, trace, scan_starts = slow_build_solve(
         monkeypatch, build_s=0.0, scan_s=0.3)
     assert scan_starts == pytest.approx([0.0, 0.3, 0.6, 0.9])

@@ -13,6 +13,7 @@ from treeroute import (
     RootedSpanningTree,
     combine,
     compare,
+    extract_disjoint,
     load_graph,
 )
 from treeroute.generators import generate_mesh
@@ -118,6 +119,63 @@ class TestPathEdgeDisjoint:
             constraint.commit()
             paths = [t.induced_path() for t in trees]
             assert constraint.violations() == oracles.violation_count(paths)
+
+
+def recount_state(trees, edge_count):
+    """Loads, holder XORs and per-path shared-edge counts of the trees'
+    induced paths, counted from nothing."""
+    paths = [t.induced_path() for t in trees]
+    loads = [0] * edge_count
+    holders = [0] * edge_count
+    for i, p in enumerate(paths):
+        for e in p:
+            loads[e] += 1
+            holders[e] ^= i
+    overlap = [sum(loads[e] >= 2 for e in p) for p in paths]
+    return paths, loads, holders, overlap
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_disjointness_state_matches_a_recount(seed):
+    # After each apply, undo or reinit_random and a refresh, the kept
+    # state equals a recount, and the drops on it equal extraction afresh.
+    # Some steps make two changes before the refresh, so one refresh
+    # updates two trees; ends repeat so that paths overlap often.
+    rng = random.Random(seed)
+    g = oracles.random_connected_graph(rng, rng.randint(4, 14), rng.randint(0, 14))
+    ends = [tuple(rng.sample(range(g.node_count), 2)) for _ in range(3)]
+    trees = [oracles.random_tree_variable(rng, g, *rng.choice(ends))
+             for _ in range(rng.randint(1, 8))]
+    constraint = PathEdgeDisjoint(trees)
+    # each tree's token of its latest apply, while it can still be undone
+    tokens = {}
+    for _ in range(rng.randint(1, 30)):
+        for _ in range(rng.choice((1, 1, 2))):
+            tree = rng.choice(trees)
+            token = tokens.pop(id(tree), None)
+            op = rng.random()
+            if op < 0.25 and token is not None:
+                tree.undo(token)
+            elif op < 0.4:
+                tree.reinit_random(rng)
+            else:
+                move = oracles.random_valid_move(rng, tree)
+                if move is not None:
+                    tokens[id(tree)] = tree.apply(BasicMove(*move))
+        paths, loads, holders, overlap = recount_state(trees, g.edge_count)
+        assert constraint.value() == oracles.violation_count(paths)
+        assert constraint.edge_sets == [frozenset(p) for p in paths]
+        assert (constraint.loads, constraint.holders, constraint.overlap) == \
+            (loads, holders, overlap)
+        assert constraint.conflicted_trees() == [
+            t for t, p in zip(trees, paths) if any(loads[e] >= 2 for e in p)]
+        kept = constraint.extract_disjoint()
+        assert kept == extract_disjoint(paths) == \
+            oracles.extract_disjoint_reference(paths)
+        # the drops ran on copies
+        assert (constraint.loads, constraint.holders, constraint.overlap) == \
+            (loads, holders, overlap)
 
 
 class TestReplaceEdgeDelta:
