@@ -36,9 +36,10 @@ Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
 load per edge.  Its ``_update`` also keeps the state that extraction
 (``edp.extract_disjoint``) starts its drops from: the XOR of each edge's
-holders and each path's count of shared edges.  One add step,
-:func:`_add_path`, counts a path in for both of them, and one drop step,
-:func:`_drop_shared`, runs extraction's drops on that state, so
+holders and each path's count of shared edges.  The constraint and
+``edp.extract_disjoint`` share one add step, :func:`_add_path`, which
+counts a path in, and one drop step, :func:`_drop_shared`, which runs
+extraction's drops on that state; so
 :meth:`PathEdgeDisjoint.extract_disjoint` extracts from the current
 trees without a first pass.
 
