@@ -22,15 +22,18 @@ moves, reads the value, undoes them and re-syncs the caches.
 
 :meth:`Differentiable.improves_fn` answers the one question a
 one-move scan asks, exactly: does the move that inserts an edge and
-takes a given stretch of path edges off a tree's induced path lower
-the value?  Every removal in the stretch gives the same new path, so
-the base class (and so :class:`PathCost` and every expression) answers
-with the ``_delta`` of one of them.  :class:`PathEdgeDisjoint` counts
-the change without building the new path, as
-``A(u) + A(v) + [load(e_in) >= 1] - S``, with ``S`` the stretch's
-shared edges and ``A(x)`` the loaded edges on the father chain from
-an endpoint ``x`` of the inserted edge to the path.  An O(1) bound on
-``S`` comes first and the chain counts are memoized per predicate.
+takes the stretch ``path[a:b]`` of a tree's induced path off it lower
+the value?  The predicate takes ``(e_in, a, b)`` as
+:meth:`~treeroute.treevar.RootedSpanningTree.preferred_moves` lists
+it, so no stretch is sliced.  Every removal in the stretch gives the
+same new path, so the base class (and so :class:`PathCost` and every
+expression) answers with the ``_delta`` of the first, ``path[a]``.
+:class:`PathEdgeDisjoint` counts the change without building the new
+path, as ``A(u) + A(v) + [load(e_in) >= 1] - S``, with ``S`` the
+stretch's shared edges and ``A(x)`` the loaded edges on the father
+chain from an endpoint ``x`` of the inserted edge to the path.  An
+O(1) bound on ``S``, from ``a`` and ``b``, comes first and the chain
+counts are memoized per predicate.
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
@@ -119,17 +122,18 @@ class Differentiable:
         return delta
 
     def improves_fn(self, tree: RootedSpanningTree):
-        """``(e_in, removed) -> bool``: exactly whether the one-moves on
+        """``(e_in, a, b) -> bool``: exactly whether the one-moves on
         ``tree`` that insert ``e_in`` and take the path edges
-        ``removed`` off its induced path lower ``value()``.
-        ``removed`` is a non-empty contiguous stretch of the induced
-        path in path order, as :meth:`RootedSpanningTree.preferred_moves`
-        lists it.  Every removal in it gives the same new path, so the
-        base class answers with the delta of the first.  Same validity
-        rule as :meth:`move_delta_fn`."""
+        ``induced_path()[a:b]`` off its induced path lower ``value()``.
+        ``a < b`` are the join positions
+        :meth:`RootedSpanningTree.preferred_moves` lists for ``e_in``.
+        Every removal in the stretch gives the same new path, so the
+        base class answers with the delta of the first, ``path[a]``.
+        Same validity rule as :meth:`move_delta_fn`."""
         self._validated_refresh(tree)
-        return lambda e_in, removed: self._delta(
-            tree, BasicMove(e_in, removed[0])) < 0
+        path = tree.induced_path()
+        return lambda e_in, a, b: self._delta(
+            tree, BasicMove(e_in, path[a])) < 0
 
     def multi_delta_fn(self, trees: Sequence[RootedSpanningTree]):
         """``(move, ...) -> exact joint change of value()`` for one move on
@@ -363,35 +367,37 @@ class PathEdgeDisjoint(Differentiable):
         return delta
 
     def improves_fn(self, tree: RootedSpanningTree):
-        """``(e_in, removed) -> bool``: exactly whether the preferred
+        """``(e_in, a, b) -> bool``: exactly whether the preferred
         moves that insert ``e_in = (u, v)`` lower the violation count.
 
         They all give one new path: the path up to position ``a``, the
         father chain of one endpoint reversed, ``e_in``, the chain of
         the other endpoint and the path from position ``b`` on, where
-        ``a < b`` are the chains' join positions and ``removed`` is the
-        stretch between them.  The added edges were all off the path
-        (chain edges are father edges of off-path nodes, ``e_in`` is no
-        tree edge), and the two chains share no edge, or they would
-        join at one position.  So with ``A(x)`` the number of x's chain
-        edges with load 1 or more and ``S(a, b)`` the number of stretch
-        edges with load 2 or more, the delta is
-        ``A(u) + A(v) + [load(e_in) >= 1] - S(a, b)``, each edge counted
-        once.
+        ``a < b`` are the chains' join positions, as
+        :meth:`~treeroute.treevar.RootedSpanningTree.preferred_moves`
+        lists them, and the removed stretch is ``path[a:b]``.  The
+        added edges were all off the path (chain edges are father edges
+        of off-path nodes, ``e_in`` is no tree edge), and the two chains
+        share no edge, or they would join at one position.  So with
+        ``A(x)`` the number of x's chain edges with load 1 or more and
+        ``S(a, b)`` the number of stretch edges with load 2 or more, the
+        delta is ``A(u) + A(v) + [load(e_in) >= 1] - S(a, b)``, each
+        edge counted once.
 
         A path with no shared edge (``overlap`` 0) gets a predicate that
         always answers False, without a walk.  Otherwise one walk along
         the path builds a prefix count of its shared edges, so
         ``S(a, b) > [load(e_in) >= 1]``, which the delta needs to be
-        negative, is tested in O(1) first; only the pairs that pass it
-        walk chains, through
+        negative, is tested in O(1) from the positions first; only the
+        moves that pass it look up ``u`` and ``v`` and walk chains,
+        through
         :meth:`~treeroute.treevar.RootedSpanningTree.chain_counter`,
         whose counts are memoized for the predicate's lifetime.
         Same validity rule as :meth:`move_delta_fn`: the memo holds only
         while no registered tree (and so no load) changes."""
         self._validated_refresh(tree)
         if not self.overlap[self._index[id(tree)]]:
-            return lambda e_in, removed: False
+            return lambda e_in, a, b: False
         loads = self.loads
         # shared[i]: shared edges among the first i path edges
         shared = [0]
@@ -400,16 +406,15 @@ class PathEdgeDisjoint(Differentiable):
             if loads[e] >= 2:
                 count += 1
             shared.append(count)
-        join, chain_count = tree.chain_counter(loads)
+        chain_count = tree.chain_counter(loads)
         edges = tree.graph.edges
 
-        def improves(e_in: int, removed: Sequence[int]) -> bool:
-            u, v = edges[e_in]
-            a, b = join[u], join[v]
-            if a > b:
-                a, b = b, a
+        def improves(e_in: int, a: int, b: int) -> bool:
             gain = shared[b] - shared[a] - (loads[e_in] >= 1)
-            return gain > 0 and chain_count(u) + chain_count(v) < gain
+            if gain <= 0:
+                return False
+            u, v = edges[e_in]
+            return chain_count(u) + chain_count(v) < gain
 
         return improves
 

@@ -121,13 +121,17 @@ def explore_one_move(
     inserted edge, so ``rng`` advances exactly as in a scan that
     evaluates every delta, and the returned move is the same.
 
-    Both draws are written out inline, as ``_random_fathers`` in
-    ``treevar`` does: the shuffle is CPython's Fisher-Yates and each
-    removal is ``random.choice``'s ``getrandbits`` of
-    ``len(outs).bit_length()`` bits, redrawn while out of range.  For
-    ``random.Random`` these are exactly the calls ``random.shuffle`` and
-    ``random.choice`` make; ``tests/test_search.py`` pins the equality
-    against a scan that calls them.
+    The index lists each inserted edge with the join positions
+    ``a < b`` of its stretch (see ``preferred_moves``), so the removal is
+    drawn as an offset ``r`` among the ``n = b - a`` stretch edges and
+    only the returned move reads the path, as ``path[a + r]``.  Both
+    draws are written out inline, as ``_random_fathers`` in ``treevar``
+    does: the shuffle is CPython's Fisher-Yates and each removal is
+    ``random.choice``'s ``getrandbits`` of ``n.bit_length()`` bits,
+    redrawn while out of range.  For ``random.Random`` these are exactly
+    the calls ``random.shuffle`` and ``random.choice`` on the stretch
+    make; ``tests/test_search.py`` pins the equality against a scan that
+    calls them.
     """
     pairs = list(tree.preferred_moves())
     getrandbits = rng.getrandbits
@@ -138,14 +142,14 @@ def explore_one_move(
             j = getrandbits(bits)
         pairs[i], pairs[j] = pairs[j], pairs[i]
     improves = objective.improves_fn(tree)
-    for e_in, outs in pairs:
-        n = len(outs)
+    for e_in, a, b in pairs:
+        n = b - a
         bits = n.bit_length()
         r = getrandbits(bits)
         while r >= n:
             r = getrandbits(bits)
-        if improves(e_in, outs):
-            return BasicMove(e_in, outs[r])
+        if improves(e_in, a, b):
+            return BasicMove(e_in, tree.induced_path()[a + r])
     return None
 
 
@@ -177,11 +181,12 @@ def explore_two_move(
     preferred = tree.preferred_moves()
     if len(preferred) < 2:
         return None
+    path = tree.induced_path()
     for _ in range(samples):
-        (e_in_a, outs_a), (e_in_b, outs_b) = rng.sample(preferred, 2)
+        (e_in_a, a_a, b_a), (e_in_b, a_b, b_b) = rng.sample(preferred, 2)
         cm = ComplexMove((
-            BasicMove(e_in_a, rng.choice(outs_a)),
-            BasicMove(e_in_b, rng.choice(outs_b)),
+            BasicMove(e_in_a, path[rng.choice(range(a_a, b_a))]),
+            BasicMove(e_in_b, path[rng.choice(range(a_b, b_b))]),
         ))
         if not tree.independent(cm.moves):
             continue
@@ -207,12 +212,14 @@ def explore_pair_move(
     prefs_b = tree_b.preferred_moves()
     if not prefs_a or not prefs_b:
         return None
+    path_a = tree_a.induced_path()
+    path_b = tree_b.induced_path()
     delta = objective.multi_delta_fn((tree_a, tree_b))
     for _ in range(samples):
-        e_in_a, outs_a = rng.choice(prefs_a)
-        e_in_b, outs_b = rng.choice(prefs_b)
-        move_a = BasicMove(e_in_a, rng.choice(outs_a))
-        move_b = BasicMove(e_in_b, rng.choice(outs_b))
+        e_in_a, a_a, b_a = rng.choice(prefs_a)
+        e_in_b, a_b, b_b = rng.choice(prefs_b)
+        move_a = BasicMove(e_in_a, path_a[rng.choice(range(a_a, b_a))])
+        move_b = BasicMove(e_in_b, path_b[rng.choice(range(a_b, b_b))])
         if delta((move_a, move_b)) < 0:
             return move_a, move_b
     return None
@@ -240,11 +247,13 @@ def _perturb(objective: Differentiable, rng: random.Random,
             choices = tree.preferred_moves()
             if not choices:
                 break
+            path = tree.induced_path()
             delta = objective.move_delta_fn(tree)
             picked = None
             for _ in range(12):
-                e_in, outs = rng.choice(choices)
-                move = BasicMove(e_in, rng.choice(outs))
+                e_in, a, b = rng.choice(choices)
+                # the draws of rng.choice(path[a:b]), without the slice
+                move = BasicMove(e_in, path[rng.choice(range(a, b))])
                 if delta(move) <= 0:
                     picked = move
                     break

@@ -287,12 +287,15 @@ def random_fathers_reference(g: Graph, root: int, rng: random.Random):
 def explore_one_move_reference(tree, objective, rng: random.Random):
     """One-move scan that evaluates the exact delta of every preferred
     inserted edge: the move and the rng draws a filtered scan must
-    reproduce."""
-    pairs = list(tree.preferred_moves())
-    rng.shuffle(pairs)
+    reproduce.  The preferred moves come from the tree's father lists
+    (:func:`_preferred_moves`), not from the index under test."""
+    fathers = (tree._father_node, tree._father_edge)
+    path = _root_chain(fathers, tree.source)
+    moves = _preferred_moves(tree.graph, fathers, tree.source)
+    rng.shuffle(moves)
     delta = objective.move_delta_fn(tree)
-    for e_in, outs in pairs:
-        move = BasicMove(e_in, rng.choice(outs))
+    for e_in, a, b in moves:
+        move = BasicMove(e_in, rng.choice(path[a:b]))
         if delta(move) < 0:
             return move
     return None
@@ -335,8 +338,10 @@ def _root_chain(fathers, x: int) -> list[int]:
 
 
 def _preferred_moves(g: Graph, fathers, source: int):
-    """``(e_in, outs)`` for every non-tree edge, ascending, whose cycle
-    meets the induced path; ``outs`` are those path edges in path order."""
+    """``(e_in, a, b)`` for every non-tree edge, ascending, whose cycle
+    meets the induced path ``path``; ``a`` and ``b`` are the positions of
+    the first of those path edges and one past the last, so the cycle's
+    on-path edges are ``path[a:b]`` when they are contiguous."""
     path = _root_chain(fathers, source)
     tree_edges = set(fathers[1])
     moves = []
@@ -344,9 +349,9 @@ def _preferred_moves(g: Graph, fathers, source: int):
         if e_in in tree_edges:
             continue
         cycle = set(_root_chain(fathers, u)) ^ set(_root_chain(fathers, v))
-        outs = tuple(e for e in path if e in cycle)
-        if outs:
-            moves.append((e_in, outs))
+        on_path = [a for a, e in enumerate(path) if e in cycle]
+        if on_path:
+            moves.append((e_in, on_path[0], on_path[-1] + 1))
     return moves
 
 
@@ -405,11 +410,12 @@ def solve_ls_reference(inst, cfg):
             best = (routed, violation_count(current), clock)
 
     def scan(i):
-        pairs = _preferred_moves(g, fathers[i], commodities[i].source)
-        rng.shuffle(pairs)
+        path = _root_chain(fathers[i], commodities[i].source)
+        moves = _preferred_moves(g, fathers[i], commodities[i].source)
+        rng.shuffle(moves)
         before = violation_count(paths())
-        for e_in, outs in pairs:
-            e_out = rng.choice(outs)
+        for e_in, a, b in moves:
+            e_out = rng.choice(path[a:b])
             moved = _moved(g, fathers[i], commodities[i].target, e_in, e_out)
             if violation_with(i, moved) < before:
                 return moved
@@ -419,15 +425,16 @@ def solve_ls_reference(inst, cfg):
         targets = conflicted() or rng.sample(range(k), min(2, k))
         for i in targets:
             for _ in range(search.PERTURBATION_MOVES):
+                path = _root_chain(fathers[i], commodities[i].source)
                 choices = _preferred_moves(g, fathers[i], commodities[i].source)
                 if not choices:
                     break
                 before = violation_count(paths())
                 picked = None
                 for _ in range(12):
-                    e_in, outs = rng.choice(choices)
+                    e_in, a, b = rng.choice(choices)
                     moved = _moved(g, fathers[i], commodities[i].target,
-                                   e_in, rng.choice(outs))
+                                   e_in, rng.choice(path[a:b]))
                     if violation_with(i, moved) <= before:
                         picked = moved
                         break

@@ -278,7 +278,8 @@ class TestImproves:
         trees = [oracles.random_tree_variable(rng, g) for _ in range(4)]
         tree = trees[0]
         constraint = PathEdgeDisjoint(trees)
-        pairs = tree.preferred_moves()
+        path = tree.induced_path()
+        moves = tree.preferred_moves()
         kinds = [
             constraint,
             PathCost(tree, 0),
@@ -290,9 +291,9 @@ class TestImproves:
         for d in kinds:
             improves = d.improves_fn(tree)
             delta = d.move_delta_fn(tree)
-            answers = [improves(e_in, outs) for e_in, outs in pairs]
-            for (e_in, outs), answer in zip(pairs, answers):
-                for e_out in outs:
+            answers = [improves(e_in, a, b) for e_in, a, b in moves]
+            for (e_in, a, b), answer in zip(moves, answers):
+                for e_out in path[a:b]:
                     assert answer == (delta(BasicMove(e_in, e_out)) < 0)
             if d is constraint:
                 assert any(answers) and not all(answers)
@@ -310,10 +311,10 @@ class TestImproves:
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_disjointness_predicate_is_sound(seed):
-    # A preferred move takes the stretch ``outs`` off the path and adds
-    # ``e_in`` plus father-chain edges that were off it; every removal in
-    # ``outs`` gives the same new path, and the predicate must answer
-    # exactly whether that path lowers the violation count.
+    # A preferred move takes the stretch ``path[a:b]`` off the path and
+    # adds ``e_in`` plus father-chain edges that were off it; every
+    # removal in the stretch gives the same new path, and the predicate
+    # must answer exactly whether that path lowers the violation count.
     rng = random.Random(seed)
     g = oracles.random_connected_graph(rng, rng.randint(4, 10), rng.randint(1, 10))
     trees = [oracles.random_tree_variable(rng, g) for _ in range(rng.randint(2, 4))]
@@ -330,19 +331,22 @@ def test_disjointness_predicate_is_sound(seed):
         delta = constraint.move_delta_fn(tree)
         assert any(loads[e] >= 2 for e in tree.induced_path()) == \
             any(t is tree for t in conflicted)
-        stretches = dict(tree.preferred_moves())
-        for e_in, outs in stretches.items():
+        path = tree.induced_path()
+        stretches = {e_in: (a, b) for e_in, a, b in tree.preferred_moves()}
+        for e_in, (a, b) in stretches.items():
+            outs = path[a:b]
             for e_out in outs:
-                assert improves(e_in, outs) == \
+                assert improves(e_in, a, b) == \
                     (delta(BasicMove(e_in, e_out)) < 0)
-            if not improves(e_in, outs):
+            if not improves(e_in, a, b):
                 assert all(delta(BasicMove(e_in, e_out)) >= 0 for e_out in outs)
         # every strictly improving move, enumerated over all cycles
         for e_in in tree.replacing_edges():
             for e_out in oracles.cycle_of(g, tree.tree_edges, e_in):
                 if delta(BasicMove(e_in, e_out)) < 0:
-                    assert e_out in stretches.get(e_in, ())
-                    assert improves(e_in, stretches[e_in])
+                    a, b = stretches.get(e_in, (0, 0))
+                    assert e_out in path[a:b]
+                    assert improves(e_in, a, b)
 
 
 class TestReplaceEdgeDeltaMulti:

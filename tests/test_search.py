@@ -46,8 +46,9 @@ def deadlock_instance():
 
 
 def all_preferred_moves(tree):
-    for e_in, outs in tree.preferred_moves():
-        for e_out in outs:
+    path = tree.induced_path()
+    for e_in, a, b in tree.preferred_moves():
+        for e_out in path[a:b]:
             yield BasicMove(e_in, e_out)
 
 
@@ -121,8 +122,10 @@ def test_failed_one_move_scan_is_exhaustive(seed, kind):
     else:
         objective = compare(PathCost(trees[0], 0), "<=", rng.randint(0, 12))
     for tree in trees:
-        for e_in, outs in tree.preferred_moves():
-            paths = {tree.simulate_path(BasicMove(e_in, e_out)) for e_out in outs}
+        path = tree.induced_path()
+        for e_in, a, b in tree.preferred_moves():
+            paths = {tree.simulate_path(BasicMove(e_in, e_out))
+                     for e_out in path[a:b]}
             assert len(paths) == 1
         delta = objective.move_delta_fn(tree)
         improving = any(delta(m) < 0 for m in all_preferred_moves(tree))
@@ -172,9 +175,11 @@ def test_scan_skips_a_stretch_whose_one_shared_edge_the_insert_replaces(
     t_a = RootedSpanningTree.from_edges(g, 0, 2, [0, 1, 3])
     t_b = RootedSpanningTree.from_edges(g, 0, 1, [2, 1, 4])
     constraint = PathEdgeDisjoint([t_a, t_b])
-    assert t_a.preferred_moves() == ((2, (0, 1)), (4, (1,)))
+    assert t_a.induced_path() == (0, 1)
+    # stretches path[0:2] == (0, 1) and path[1:2] == (1,)
+    assert t_a.preferred_moves() == ((2, 0, 2), (4, 1, 2))
     improves = constraint.improves_fn(t_a)
-    assert not improves(2, (0, 1)) and improves(4, (1,))
+    assert not improves(2, 0, 2) and improves(4, 1, 2)
     evaluated = []
     delta = constraint._delta
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -25,7 +26,8 @@ def make_tree(g, s, t, edges):
 
 def preferred(tree):
     """Preferred removals by inserted edge."""
-    return dict(tree.preferred_moves())
+    path = tree.induced_path()
+    return {e_in: path[a:b] for e_in, a, b in tree.preferred_moves()}
 
 
 def tree_state(tree):
@@ -163,6 +165,49 @@ def test_shuffle_trie_leaves_are_the_fisher_yates_orders(d):
     assert sorted(leaves) == sorted(itertools.permutations(range(d)))
 
 
+class _RecordingIncidence(list):
+    """An incidence list that logs the positions read from it."""
+
+    def __init__(self, items):
+        super().__init__(items)
+        self.read = []
+
+    def __getitem__(self, k):
+        self.read.append(k)
+        return super().__getitem__(k)
+
+
+@pytest.mark.parametrize("d", range(8))
+def test_random_fathers_redraw_and_order_as_random_shuffle(d):
+    # The root of a star is its only node that draws (the leaves have
+    # degree 1).  Each Fisher-Yates step i is answered first with i + 1,
+    # the smallest rejected draw, which (i + 1).bit_length() bits can
+    # always express, and then with an accepted draw.  The bits asked and
+    # the order in which the root's incidences are read must be those of
+    # random.shuffle under the same script: degrees 3 and 4 take the
+    # unrolled walk, 0-2 and 5 the trie loop, 6 and 7 the in-place swaps.
+    star = load_graph(f"{d + 1} {d}\n"
+                      + "".join(f"0 {w}\n" for w in range(1, d + 1)))
+    steps = range(d - 1, 0, -1)
+    scripts = list(itertools.product(*(range(i + 1) for i in steps)))
+    if len(scripts) > 40:
+        scripts = random.Random(d).sample(scripts, 40)
+    for accepted in scripts:
+        draws = [x for i, j in zip(steps, accepted) for x in (i + 1, j)]
+        incidence = _RecordingIncidence(star.neighbors[0])
+        graph = SimpleNamespace(node_count=star.node_count,
+                                neighbors=[incidence, *star.neighbors[1:]])
+        rng = _ScriptedRandom(draws)
+        fathers = RootedSpanningTree._random_fathers(graph, 0, rng)
+        reference = _ScriptedRandom(draws)
+        order = list(range(d))
+        reference.shuffle(order)
+        assert rng.bits == reference.bits
+        assert incidence.read == order
+        assert next(rng.draws, None) is None
+        assert fathers == ([-1] + [0] * d, [-1] + list(range(d)))
+
+
 class TestInducedPath:
     def test_father_chain(self):
         g = load_graph("3 2\n0 1\n1 2\n")
@@ -283,6 +328,47 @@ class TestPreferredSets:
             assert list(moves) == sorted(moves)
             assert set(moves) <= set(tree.replacing_edges())
             assert all(moves.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.booleans())
+def test_preferred_moves_match_a_recount_from_the_fathers(seed, mesh):
+    # After random apply, undo and reinit_random the index lists exactly
+    # the preferred moves recounted from the father lists, and each
+    # stretch path[a:b] is the fundamental cycle's on-path edges, in
+    # path order.
+    rng = random.Random(seed)
+    if mesh:
+        g = generate_mesh(rng.randint(2, 5), rng.randint(2, 5))
+    else:
+        g = oracles.random_connected_graph(rng, rng.randint(2, 12),
+                                           rng.randint(0, 12))
+    tree = oracles.random_tree_variable(rng, g)
+    token = None  # undo takes the last apply's token only
+
+    def check():
+        fathers = (list(tree._father_node), list(tree._father_edge))
+        moves = tree.preferred_moves()
+        assert list(moves) == oracles._preferred_moves(g, fathers, tree.source)
+        path = tree.induced_path()
+        for e_in, a, b in moves:
+            cycle = oracles.cycle_of(g, tree.tree_edges, e_in)
+            assert path[a:b] == tuple(e for e in path if e in cycle)
+
+    check()
+    for _ in range(rng.randint(1, 8)):
+        op = rng.random()
+        if op < 0.15:
+            tree.reinit_random(rng)
+            token = None
+        elif op < 0.4 and token is not None:
+            tree.undo(token)
+            token = None
+        else:
+            move = oracles.random_valid_move(rng, tree)
+            if move is not None:
+                token = tree.apply(BasicMove(*move))
+        check()
 
 
 class TestApply:
@@ -539,8 +625,9 @@ class TestStateManagement:
             b = RootedSpanningTree.random_tree(g, 0, 12, rng)
             tokens = []
             for tree in (a, b):
-                e_in, outs = rng.choice(tree.preferred_moves())
-                tokens.append(tree.apply(BasicMove(e_in, rng.choice(outs))))
+                e_in, lo, hi = rng.choice(tree.preferred_moves())
+                e_out = rng.choice(tree.induced_path()[lo:hi])
+                tokens.append(tree.apply(BasicMove(e_in, e_out)))
             before = tree_state(b)
             with pytest.raises(InvalidMoveError, match="another tree"):
                 b.undo(tokens[0])
