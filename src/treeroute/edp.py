@@ -10,7 +10,9 @@ minimum, the current paths are turned into a feasible solution by
 others) followed by *greedy completion* (re-routing dropped commodities
 on the leftover edges, in index order, shortest hop first).  The best
 feasible solution seen anywhere along the run is what the solver
-returns.
+returns.  Evaluations whose outcome is already known are skipped: a
+later routing is kept only if it routes strictly more, and both steps
+are deterministic in the paths they read (see :func:`solve_ls`).
 
 The baseline is a multi-start greedy: one greedy completion per pass,
 from nothing, in a random commodity order; the best pass wins.
@@ -94,9 +96,12 @@ def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
     each path is counted in (``_add_path``) to per-edge loads, the XOR of
     each edge's holders and each path's count of shared edges, and the
     drops (``_drop_shared``) then find an edge's last holder in O(1).
-    The cost is O((total path length + drops) log k).  The local search
-    never counts paths in here: its constraint keeps this state, and
-    :meth:`PathEdgeDisjoint.extract_disjoint` runs only the drops.
+    Their heap holds one entry per path, re-pushed with the current
+    count when it pops stale.  The cost is O(total path length +
+    (k + re-pushes) log k), with at most one re-push per lost overlap.
+    The local search never counts paths in here: its constraint keeps
+    this state, and :meth:`PathEdgeDisjoint.extract_disjoint` runs only
+    the drops.
     """
     sets = [set(p) for p in paths]
     if any(s and min(s) < 0 for s in sets):
@@ -134,10 +139,10 @@ def greedy_complete(
     :func:`solve_msga` passes one.  The local search does not: after
     extraction the kept paths already block most whole-graph paths, so
     the fills cost more than the hits save.  On the capped seed-0 solves
-    of ``ls-mesh25-dense`` a memo would answer 19 of the 1,113 searches
-    that route and raise the nodes all searches dequeue by 31 %
-    (221,789 to 291,248); on ``ls-mesh15-sparse`` it would answer 257 of
-    2,943 and still raise them by 2.4 % (361,752 to 370,494).
+    of ``ls-mesh25-dense`` a memo would answer 8 of the 420 searches
+    that route and raise the nodes all searches dequeue by 82 %
+    (85,330 to 155,374); on ``ls-mesh15-sparse`` it would answer 145 of
+    1,594 and still raise them by 7.9 % (196,895 to 212,466).
     Never drops an input path.
     """
     routed = {i: tuple(p) for i, p in kept.items()}
@@ -152,29 +157,19 @@ def greedy_complete(
     return routed
 
 
-def _complete(
-    g: Graph,
-    commodities: Sequence[Commodity],
-    paths: Sequence[Sequence[int]],
-    retained: Sequence[int],
-) -> dict[int, tuple[int, ...]]:
-    """Greedy completion around the ``retained`` paths (ascending
-    indices), with the other commodities pending in index order."""
-    kept = {i: paths[i] for i in retained}
-    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
-    return greedy_complete(g, kept, pending)
-
-
 def evaluate_assignment(
     g: Graph,
     commodities: Sequence[Commodity],
     paths: Sequence[Sequence[int]],
 ) -> dict[int, tuple[int, ...]]:
     """Feasible routing reachable from the given (possibly conflicting)
-    paths: extraction followed by greedy completion.  :func:`solve_ls`
-    gets the same routing from its constraint's kept state, with the
-    same completion step."""
-    return _complete(g, commodities, paths, extract_disjoint(paths))
+    paths: extraction, then greedy completion around the kept paths
+    with the other commodities pending in index order.
+    :func:`solve_ls` gets the same routing from its constraint's kept
+    state, with the same completion step."""
+    kept = {i: paths[i] for i in extract_disjoint(paths)}
+    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
+    return greedy_complete(g, kept, pending)
 
 
 def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchTrace]:
@@ -192,6 +187,26 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     are left in their final search state, not the one that gave the
     best routing.
 
+    An evaluation is kept only if it routes strictly more than the
+    best, and the best only grows, so three kinds are skipped, with the
+    same result and decisions as running them:
+
+    * once the best routes all ``k`` commodities, every evaluation, as
+      nothing routes more;
+    * before extraction, one whose induced paths equal those of the
+      last evaluation that extracted: extraction and completion read
+      only the paths, so it would give that evaluation's routing again;
+    * after extraction, one whose kept paths equal those of the last
+      evaluation that completed.  Completion is deterministic in the
+      graph, the kept paths and the pending order, and that order is
+      the other commodities by index, so the routing would be that
+      completion's, which was already compared with the best.
+
+    Induced paths are cached per revision, so both comparisons are
+    mostly identity checks.  On the capped seed-0 solves of
+    ``ls-mesh25-dense``, 39 of the 63 evaluations skip their completion
+    on the third count.
+
     In budget mode the clock starts on entry, so building the model
     counts against ``time_limit_s``, and trace times and ``best_time``
     count from entry, as in :func:`solve_msga`.  No extraction after
@@ -200,12 +215,24 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     started = time.monotonic()
     constraint = build_model(inst, cfg.seed)
     best: EdpSolution | None = None
+    last_paths: list[tuple[int, ...]] = []
+    last_kept: dict[int, tuple[int, ...]] | None = None
 
     def evaluate(clock: float) -> None:
-        nonlocal best
-        retained = constraint.extract_disjoint()
+        nonlocal best, last_paths, last_kept
+        if best is not None and best.objective == inst.k:
+            return
         paths = [tree.induced_path() for tree in constraint.trees]
-        routed = _complete(inst.graph, inst.commodities, paths, retained)
+        if paths == last_paths:
+            return
+        last_paths = paths
+        kept = {i: paths[i] for i in constraint.extract_disjoint()}
+        if kept == last_kept:
+            return
+        last_kept = kept
+        pending = [(i, c) for i, c in enumerate(inst.commodities)
+                   if i not in kept]
+        routed = greedy_complete(inst.graph, kept, pending)
         if best is None or len(routed) > best.objective:
             best = EdpSolution(routed, constraint.value(), clock)
 

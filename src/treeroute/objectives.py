@@ -42,7 +42,8 @@ load per edge.  Its ``_update`` also keeps the state that extraction
 holders and each path's count of shared edges.  The constraint and
 ``edp.extract_disjoint`` share one add step, :func:`_add_path`, which
 counts a path in, and one drop step, :func:`_drop_shared`, which runs
-extraction's drops on that state; so
+extraction's drops on that state, from a heap that holds one entry per
+path and re-pushes an entry only when it pops it stale; so
 :meth:`PathEdgeDisjoint.extract_disjoint` extracts from the current
 trees without a first pass.
 
@@ -260,19 +261,28 @@ def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
 
     A max-heap on ``overlap * k + index`` yields the path to drop; the
     keys are unique, so neither the heap nor the order in which a set
-    lists its edges decides a drop.  Overlaps only fall, so an entry
-    whose count no longer matches is stale and skipped.  A drop XORs
-    its index out of each of its edges, so an edge left with load 1
-    holds its last holder's index in ``holders[e]``, and that holder
-    loses one overlap.  The cost is O((drops' edges + drops) log k),
-    with no search for a holder."""
+    lists its edges decides a drop.  The heap holds one entry per path
+    with shared edges, pushed once, and losing an overlap pushes
+    nothing.  Overlaps only fall, so a stored key never underestimates
+    a path's current one; a popped entry whose count is above the
+    current one is stale, and is pushed again with the current count
+    if that is nonzero.  So the first up-to-date entry popped is the
+    true maximum.  A drop XORs its index out of each of its edges, so
+    an edge left with load 1 holds its last holder's index in
+    ``holders[e]``, and that holder loses one overlap.  The heap never
+    holds more than ``k`` entries; the cost is O(k + drops' edges +
+    (drops + re-pushes) log k), with at most one re-push per lost
+    overlap and no search for a holder."""
     k = len(edge_sets)
     heap = [-(o * k + i) for i, o in enumerate(overlap) if o]
     heapq.heapify(heap)
     retained = [True] * k
     while heap:
         o, d = divmod(-heapq.heappop(heap), k)
-        if o != overlap[d]:
+        now = overlap[d]
+        if o != now:
+            if now:
+                heapq.heappush(heap, -(now * k + d))
             continue
         retained[d] = False
         for e in edge_sets[d]:
@@ -280,11 +290,7 @@ def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
             loads[e] = load
             holders[e] ^= d
             if load == 1:
-                last = holders[e]
-                o = overlap[last] - 1
-                overlap[last] = o
-                if o:
-                    heapq.heappush(heap, -(o * k + last))
+                overlap[holders[e]] -= 1
     return [i for i, kept in enumerate(retained) if kept]
 
 

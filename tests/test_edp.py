@@ -30,6 +30,7 @@ import oracles
 import treeroute.edp as edp
 import treeroute.search as search
 from treeroute.generators import generate_mesh
+from treeroute.objectives import PathEdgeDisjoint
 
 
 def random_instances(seed, count):
@@ -140,6 +141,88 @@ def test_capped_ls_matches_the_reference_solver(seed, iter_cap):
     assert trace.events == events
 
 
+def mesh_instance(rng):
+    """A mesh of 5x5 to 8x8 nodes with 2 to 40 % of its node count in
+    commodities: the dense ones often extract the same kept paths twice
+    in a row, and the sparse ones route every commodity."""
+    g = generate_mesh(rng.randint(5, 8), rng.randint(5, 8))
+    k = rng.randint(2, 2 * g.node_count // 5)
+    return EdpInstance(g, tuple(generate_commodities(g, k, rng.randrange(2 ** 32))))
+
+
+def ls_against_the_reference(seed, iter_cap):
+    """Capped ``solve_ls`` on ``mesh_instance(Random(seed))``, checked
+    against the reference solver; returns the kind of each evaluation:
+    "completed", or the skip it took ("all routed" and "same paths"
+    before extraction, "same kept" before completion).  A skip is
+    checked to be the one it claims: the same paths as the last
+    extraction read, or the same kept paths as the last completion."""
+    inst = mesh_instance(random.Random(seed))
+    cfg = SearchConfig(seed=seed, iter_cap=iter_cap)
+    kinds = []
+    last = {}
+    extract = PathEdgeDisjoint.extract_disjoint
+    complete = edp.greedy_complete
+    run = edp.run
+
+    def extract_recorded(constraint):
+        retained = extract(constraint)
+        paths = [tree.induced_path() for tree in constraint.trees]
+        last.update(paths=paths, extracted={i: paths[i] for i in retained})
+        return retained
+
+    def complete_recorded(g, kept, pending):
+        routed = complete(g, kept, pending)
+        last.update(kept=dict(kept), completed=True,
+                    best=max(last.get("best", 0), len(routed)))
+        return routed
+
+    def run_recorded(constraint, cfg, evaluate, started):
+        def classified(clock):
+            all_routed = last.get("best") == inst.k
+            last.update(paths_before=last.get("paths"), extracted=None,
+                        completed=False)
+            evaluate(clock)
+            if last["completed"]:
+                kinds.append("completed")
+            elif last["extracted"] is not None:
+                assert last["extracted"] == last["kept"]
+                kinds.append("same kept")
+            elif all_routed:
+                kinds.append("all routed")
+            else:
+                paths = [tree.induced_path() for tree in constraint.trees]
+                assert paths == last["paths_before"]
+                kinds.append("same paths")
+
+        return run(constraint, cfg, classified, started)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PathEdgeDisjoint, "extract_disjoint", extract_recorded)
+        mp.setattr(edp, "greedy_complete", complete_recorded)
+        mp.setattr(edp, "run", run_recorded)
+        solution, trace = solve_ls(inst, cfg)
+    expected, improvements, events = oracles.solve_ls_reference(inst, cfg)
+    assert solution_to_dump(solution, inst) == solution_to_dump(expected, inst)
+    assert trace.improvements == improvements
+    assert trace.events == events
+    return kinds
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), iter_cap=st.integers(0, 20))
+def test_evaluation_skips_match_the_reference_solver(seed, iter_cap):
+    ls_against_the_reference(seed, iter_cap)
+
+
+def test_every_evaluation_skip_is_taken():
+    # the property's branches, reached on fixed examples
+    kinds = set()
+    for seed in range(12):
+        kinds.update(ls_against_the_reference(seed, 4 + seed % 17))
+    assert kinds == {"completed", "all routed", "same paths", "same kept"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), a=st.integers(1, 5), more=st.integers(1, 5))
 def test_more_msga_passes_only_gain(seed, a, more):
@@ -197,15 +280,19 @@ def test_a_build_that_spends_the_budget_returns_the_initial_extraction(monkeypat
 def test_no_extraction_starts_after_the_time_limit(monkeypatch):
     # Scans start at 0.0, 0.3, 0.6 and 0.9 s; the last one ends at 1.2 s
     # with a new violation best, which must not be extracted any more.
-    # Every evaluation ends in one greedy completion, so that call marks it.
+    # An evaluation may skip extraction or completion, so each one is
+    # marked where the search calls it, at the hook.
     evaluated_at = []
-    complete = edp.greedy_complete
+    run = edp.run
 
-    def recorded(g, kept, pending, **kwargs):
-        evaluated_at.append(search.time.monotonic() - 100.0)
-        return complete(g, kept, pending, **kwargs)
+    def run_recorded(constraint, cfg, evaluate, started):
+        def recorded(clock):
+            evaluated_at.append(search.time.monotonic() - 100.0)
+            evaluate(clock)
 
-    monkeypatch.setattr(edp, "greedy_complete", recorded)
+        return run(constraint, cfg, recorded, started)
+
+    monkeypatch.setattr(edp, "run", run_recorded)
     _, solution, trace, scan_starts = slow_build_solve(
         monkeypatch, build_s=0.0, scan_s=0.3)
     assert scan_starts == pytest.approx([0.0, 0.3, 0.6, 0.9])
