@@ -1,4 +1,4 @@
-"""Maximum edge-disjoint paths: model, extraction, and two solvers.
+"""Maximum edge-disjoint paths: model, completion, and two solvers.
 
 Each commodity gets its own tree variable (rooted at the commodity's
 target, source marked), and a single :class:`PathEdgeDisjoint`
@@ -7,12 +7,16 @@ mutual disjointness.  The local-search solver minimizes that violation
 count; at the start, whenever it improves and at every one-move local
 minimum, the current paths are turned into a feasible solution by
 *extraction* (repeatedly dropping the path sharing most edges with the
-others) followed by *greedy completion* (re-routing dropped commodities
-on the leftover edges, in index order, shortest hop first).  The best
-feasible solution seen anywhere along the run is what the solver
-returns.  Evaluations whose outcome is already known are skipped: a
-later routing is kept only if it routes strictly more, and both steps
-are deterministic in the paths they read (see :func:`solve_ls`).
+others; :func:`extract_disjoint`, defined in ``objectives`` beside the
+constraint that keeps its state) followed by *greedy completion*
+(re-routing dropped commodities on the leftover edges, in index order,
+shortest hop first).  The best feasible solution seen anywhere along
+the run is what the solver returns.  A later routing is kept only if it
+routes strictly more, so two kinds of evaluation are skipped: every one
+once the best routes all commodities, and one whose extraction keeps
+the paths the last completion kept, since completion is deterministic
+in them.  Paths repeated from the last extraction keep what it kept, so
+they take the second skip (see :func:`solve_ls`).
 
 The baseline is a multi-start greedy: one greedy completion per pass,
 from nothing, in a random commodity order; the best pass wins.
@@ -27,7 +31,7 @@ from typing import Mapping, Sequence
 
 from .graph import (Commodity, FreeEdges, Graph, WholeGraphPaths,
                     _content_lines, path_nodes, shortest_path_avoiding)
-from .objectives import PathEdgeDisjoint, _add_path, _drop_shared
+from .objectives import PathEdgeDisjoint, extract_disjoint
 from .search import SearchConfig, SearchTrace, run
 from .treevar import RootedSpanningTree
 
@@ -80,41 +84,6 @@ def build_model(inst: EdpInstance, seed: int) -> PathEdgeDisjoint:
     ])
 
 
-def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
-    """Indices of a mutually edge-disjoint subset of ``paths``.
-
-    Repeatedly drops the path with the most edges shared with other
-    still-retained paths (a repeated edge counts once); on ties the
-    higher index is dropped, so lower indices win.  Disjoint input is
-    returned in full, and re-running on the retained subset is the
-    identity.  Edge ids are non-negative integers, such as a graph's
-    edge ids, since the lists below are as long as the largest id; a
-    negative one raises ValueError.
-
-    Incremental, with the two steps by which
-    :class:`~treeroute.objectives.PathEdgeDisjoint` keeps the same state:
-    each path is counted in (``_add_path``) to per-edge loads, the XOR of
-    each edge's holders and each path's count of shared edges, and the
-    drops (``_drop_shared``) then find an edge's last holder in O(1).
-    Their heap holds one entry per path, re-pushed with the current
-    count when it pops stale.  The cost is O(total path length +
-    (k + re-pushes) log k), with at most one re-push per lost overlap.
-    The local search never counts paths in here: its constraint keeps
-    this state, and :meth:`PathEdgeDisjoint.extract_disjoint` runs only
-    the drops.
-    """
-    sets = [set(p) for p in paths]
-    if any(s and min(s) < 0 for s in sets):
-        raise ValueError("edge ids must be non-negative")
-    size = max((max(s) for s in sets if s), default=-1) + 1
-    loads = [0] * size
-    holders = [0] * size
-    overlap = [0] * len(sets)
-    for i, s in enumerate(sets):
-        _add_path(loads, holders, overlap, i, s)
-    return _drop_shared(sets, loads, holders, overlap)
-
-
 def greedy_complete(
     g: Graph,
     kept: Mapping[int, Sequence[int]],
@@ -164,11 +133,15 @@ def evaluate_assignment(
 ) -> dict[int, tuple[int, ...]]:
     """Feasible routing reachable from the given (possibly conflicting)
     paths: extraction, then greedy completion around the kept paths
-    with the other commodities pending in index order.
-    :func:`solve_ls` gets the same routing from its constraint's kept
-    state, with the same completion step."""
+    with the other commodities pending in index order.  ``paths[i]`` is
+    commodity ``i``'s, so the two must be equally long; otherwise
+    ValueError.  :func:`solve_ls` gets the same routing from its
+    constraint's kept state, with the same completion step."""
+    if len(paths) != len(commodities):
+        raise ValueError(
+            f"{len(paths)} paths for {len(commodities)} commodities")
     kept = {i: paths[i] for i in extract_disjoint(paths)}
-    pending = [(i, commodities[i]) for i in range(len(paths)) if i not in kept]
+    pending = [(i, c) for i, c in enumerate(commodities) if i not in kept]
     return greedy_complete(g, kept, pending)
 
 
@@ -188,24 +161,26 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     best routing.
 
     An evaluation is kept only if it routes strictly more than the
-    best, and the best only grows, so three kinds are skipped, with the
+    best, and the best only grows, so two kinds are skipped, with the
     same result and decisions as running them:
 
     * once the best routes all ``k`` commodities, every evaluation, as
       nothing routes more;
-    * before extraction, one whose induced paths equal those of the
-      last evaluation that extracted: extraction and completion read
-      only the paths, so it would give that evaluation's routing again;
     * after extraction, one whose kept paths equal those of the last
       evaluation that completed.  Completion is deterministic in the
       graph, the kept paths and the pending order, and that order is
       the other commodities by index, so the routing would be that
       completion's, which was already compared with the best.
 
-    Induced paths are cached per revision, so both comparisons are
-    mostly identity checks.  On the capped seed-0 solves of
-    ``ls-mesh25-dense``, 39 of the 63 evaluations skip their completion
-    on the third count.
+    An evaluation whose induced paths equal those of the last one that
+    extracted takes the second skip: extraction reads only the paths,
+    so it keeps what that one kept, and after every extraction the
+    memo ``last_kept`` holds what it kept (it was either just stored
+    or already equal).  Induced paths are cached per revision, so the
+    comparison is mostly identity checks.  On the capped seed-0 solves
+    of ``ls-mesh25-dense``, 39 of the 63 evaluations skip their
+    completion on the second count; on ``ls-mesh15-sparse``, 74 of 596
+    take the first and 215 of the other 522 the second.
 
     In budget mode the clock starts on entry, so building the model
     counts against ``time_limit_s``, and trace times and ``best_time``
@@ -215,18 +190,14 @@ def solve_ls(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, SearchT
     started = time.monotonic()
     constraint = build_model(inst, cfg.seed)
     best: EdpSolution | None = None
-    last_paths: list[tuple[int, ...]] = []
     last_kept: dict[int, tuple[int, ...]] | None = None
 
     def evaluate(clock: float) -> None:
-        nonlocal best, last_paths, last_kept
+        nonlocal best, last_kept
         if best is not None and best.objective == inst.k:
             return
-        paths = [tree.induced_path() for tree in constraint.trees]
-        if paths == last_paths:
-            return
-        last_paths = paths
-        kept = {i: paths[i] for i in constraint.extract_disjoint()}
+        trees = constraint.trees
+        kept = {i: trees[i].induced_path() for i in constraint.extract_disjoint()}
         if kept == last_kept:
             return
         last_kept = kept

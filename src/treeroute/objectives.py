@@ -37,13 +37,14 @@ counts are memoized per predicate.
 
 Each tree is registered once, and :class:`PathEdgeDisjoint` stores one
 copy of each registered path: the edge set it last counted, beside one
-load per edge.  Its ``_update`` also keeps the state that extraction
-(``edp.extract_disjoint``) starts its drops from: the XOR of each edge's
-holders and each path's count of shared edges.  The constraint and
-``edp.extract_disjoint`` share one add step, :func:`_add_path`, which
-counts a path in, and one drop step, :func:`_drop_shared`, which runs
-extraction's drops on that state, from a heap that holds one entry per
-path and re-pushes an entry only when it pops it stale; so
+load per edge.  Extraction, :func:`extract_disjoint`, is defined here
+(``edp`` imports it), and the constraint's ``_update`` keeps the state
+it starts its drops from: the XOR of each edge's holders and each
+path's count of shared edges.  The two share one add step,
+:func:`_add_path`, which counts a path in, and one drop step,
+:func:`_drop_shared`, which runs extraction's drops on that state, from
+a heap that holds one entry per path and re-pushes an entry only when
+it pops it stale.  Both steps are private to this module.  So
 :meth:`PathEdgeDisjoint.extract_disjoint` extracts from the current
 trees without a first pass.
 
@@ -294,6 +295,43 @@ def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
     return [i for i, kept in enumerate(retained) if kept]
 
 
+def extract_disjoint(paths: Sequence[Sequence[int]]) -> list[int]:
+    """Indices of a mutually edge-disjoint subset of ``paths``.
+
+    Repeatedly drops the path with the most edges shared with other
+    still-retained paths (a repeated edge counts once); on ties the
+    higher index is dropped, so lower indices win.  Disjoint input is
+    returned in full, and re-running on the retained subset is the
+    identity.  Edge ids are non-negative integers, such as a graph's
+    edge ids, since the lists below are as long as the largest id; a
+    negative one raises ValueError.
+
+    Defined here, beside the two steps by which
+    :class:`PathEdgeDisjoint` keeps the same state, and imported by
+    ``edp``, so ``edp.extract_disjoint`` and
+    ``treeroute.extract_disjoint`` are this function.  Each path is
+    counted in (:func:`_add_path`) to per-edge loads, the XOR of each
+    edge's holders and each path's count of shared edges, and the drops
+    (:func:`_drop_shared`) then find an edge's last holder in O(1).
+    Their heap holds one entry per path, re-pushed with the current
+    count when it pops stale.  The cost is O(total path length +
+    (k + re-pushes) log k), with at most one re-push per lost overlap.
+    The local search never counts paths in here: its constraint keeps
+    this state, and :meth:`PathEdgeDisjoint.extract_disjoint` runs only
+    the drops.
+    """
+    sets = [set(p) for p in paths]
+    if any(s and min(s) < 0 for s in sets):
+        raise ValueError("edge ids must be non-negative")
+    size = max((max(s) for s in sets if s), default=-1) + 1
+    loads = [0] * size
+    holders = [0] * size
+    overlap = [0] * len(sets)
+    for i, s in enumerate(sets):
+        _add_path(loads, holders, overlap, i, s)
+    return _drop_shared(sets, loads, holders, overlap)
+
+
 class PathEdgeDisjoint(Differentiable):
     """Constraint: the registered trees' induced paths are mutually
     edge-disjoint.
@@ -431,7 +469,7 @@ class PathEdgeDisjoint(Differentiable):
         return [tree for i, tree in enumerate(self.trees) if overlap[i]]
 
     def extract_disjoint(self) -> list[int]:
-        """``edp.extract_disjoint`` of the trees' current induced paths,
+        """:func:`extract_disjoint` of the trees' current induced paths,
         with the same result: the state it would count afresh is already
         kept, so only the drops run, on copies of it."""
         self._refresh()

@@ -14,10 +14,11 @@ local minimum; the engine then kicks at once, alternating between a
 small random perturbation of the conflicted trees and a
 re-initialization of them.  The scan accepts the first move for which
 the objective's exact predicate
-:meth:`~treeroute.objectives.Differentiable.improves_fn` holds; its
-shuffle and removal draws are written out inline and make exactly the
-``getrandbits`` calls that ``random.shuffle`` and ``random.choice``
-make for ``random.Random``.
+:meth:`~treeroute.objectives.Differentiable.improves_fn` holds.  Its
+shuffle goes through ``treevar._shuffle`` and its removal draws are
+written out inline; together they make exactly the ``getrandbits``
+calls that ``random.shuffle`` and ``random.choice`` make for
+``random.Random``.
 
 The client sees the search through one hook, ``evaluate(clock)``: on
 the initial trees, at each new best and at each one-move local minimum
@@ -51,7 +52,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .objectives import Differentiable
-from .treevar import BasicMove, ComplexMove, RootedSpanningTree
+from .treevar import BasicMove, ComplexMove, RootedSpanningTree, _shuffle
 
 # Sampled bundles per tree in a two-move search.
 TWO_MOVE_SAMPLES = 20
@@ -124,23 +125,17 @@ def explore_one_move(
     The index lists each inserted edge with the join positions
     ``a < b`` of its stretch (see ``preferred_moves``), so the removal is
     drawn as an offset ``r`` among the ``n = b - a`` stretch edges and
-    only the returned move reads the path, as ``path[a + r]``.  Both
-    draws are written out inline, as ``_random_fathers`` in ``treevar``
-    does: the shuffle is CPython's Fisher-Yates and each removal is
-    ``random.choice``'s ``getrandbits`` of ``n.bit_length()`` bits,
-    redrawn while out of range.  For ``random.Random`` these are exactly
-    the calls ``random.shuffle`` and ``random.choice`` on the stretch
-    make; ``tests/test_search.py`` pins the equality against a scan that
-    calls them.
+    only the returned move reads the path, as ``path[a + r]``.  The
+    shuffle is ``treevar._shuffle``, and each removal is written out
+    inline as ``random.choice``'s ``getrandbits`` of ``n.bit_length()``
+    bits, redrawn while out of range.  For ``random.Random`` these are
+    exactly the calls ``random.shuffle`` and ``random.choice`` on the
+    stretch make; ``tests/test_search.py`` pins the equality against a
+    scan that calls them.
     """
     pairs = list(tree.preferred_moves())
     getrandbits = rng.getrandbits
-    for i in range(len(pairs) - 1, 0, -1):
-        bits = (i + 1).bit_length()
-        j = getrandbits(bits)
-        while j > i:
-            j = getrandbits(bits)
-        pairs[i], pairs[j] = pairs[j], pairs[i]
+    _shuffle(pairs, getrandbits)
     improves = objective.improves_fn(tree)
     for e_in, a, b in pairs:
         n = b - a

@@ -45,9 +45,27 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graph import Graph
+
+
+def _shuffle(order: list, getrandbits: Callable[[int], int]) -> None:
+    """Shuffle ``order`` in place as ``random.shuffle`` does, given the
+    ``getrandbits`` of a ``random.Random``: CPython's Fisher-Yates, for
+    ``i`` from the last index down to 1, draws ``j`` with
+    ``getrandbits((i + 1).bit_length())``, redraws while ``j > i`` and
+    swaps ``order[i]`` and ``order[j]``.  The draws and the order are
+    the ones ``random.shuffle`` makes, without its Python call per
+    swap.  A subclass that overrides ``random()`` but not
+    ``getrandbits()`` would shuffle differently, since its shuffle uses
+    ``random()``."""
+    for i in range(len(order) - 1, 0, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
 
 
 def _shuffle_trie(order: list[int], i: int) -> tuple:
@@ -198,26 +216,19 @@ class RootedSpanningTree:
         """Father lists of a breadth-first tree from ``root`` that visits
         each node's incidences in a random order.
 
-        The order is the one CPython's Fisher-Yates shuffle gives on
-        ``range(d)`` for a node of degree ``d``, with its draws written
-        out inline (``random.shuffle`` costs a Python call per swap):
-        for ``i`` from ``d - 1`` down to 1, ``j`` is drawn by
-        ``getrandbits`` of ``(i + 1).bit_length()`` bits and redrawn
-        while ``j > i``.  Up to ``_MAX_TRIE_DEGREE`` the accepted draws
-        walk the degree's trie in ``_SHUFFLE_TRIES`` down to the order
-        their swaps give; above it ``list(range(d))`` is swapped in
-        place.  Degrees 4 and 3, most of a mesh's nodes, walk their
-        tries (``_T4``, ``_T3``) in straight-line code: one draw-and-
-        redraw block per step, ``(i, bits)`` = (3, 3), (2, 2), (1, 2),
-        which saves the loop over ``_SHUFFLE_STEPS`` and its unpacking
-        (a 25x25 mesh's trees build in about 0.8x the time; 2-vCPU
-        Xeon, Python 3.11).  For ``random.Random`` these are exactly
-        the draws ``random.shuffle`` makes, so the trees and the rng
-        state afterwards are the ones a shuffle per node would give; a
-        subclass that overrides ``random()`` but not ``getrandbits()``
-        would draw differently, since its shuffle uses ``random()``.
-        ``tests/test_treevar.py`` pins the equality against
-        ``random.shuffle``.
+        The order is the one :func:`_shuffle` gives on ``range(d)`` for
+        a node of degree ``d``, with its draws.  Up to
+        ``_MAX_TRIE_DEGREE`` the accepted draws walk the degree's trie
+        in ``_SHUFFLE_TRIES`` down to the order their swaps give, with
+        no list to swap; above it ``_shuffle`` permutes
+        ``list(range(d))``.  Degrees 4 and 3, most of a mesh's nodes,
+        walk their tries (``_T4``, ``_T3``) in straight-line code: one
+        draw-and-redraw block per step, ``(i, bits)`` = (3, 3), (2, 2),
+        (1, 2), which saves the loop over ``_SHUFFLE_STEPS`` and its
+        unpacking (a 25x25 mesh's trees build in about 0.8x the time;
+        2-vCPU Xeon, Python 3.11).  So the trees and the rng state
+        afterwards are the ones a ``random.shuffle`` per node would
+        give; ``tests/test_treevar.py`` pins the equality.
         """
         neighbors = graph.neighbors
         getrandbits = rng.getrandbits
@@ -260,12 +271,7 @@ class RootedSpanningTree:
                     order = order[j]
             else:
                 order = list(range(d))
-                for i in range(d - 1, 0, -1):
-                    bits = (i + 1).bit_length()
-                    j = getrandbits(bits)
-                    while j > i:
-                        j = getrandbits(bits)
-                    order[i], order[j] = order[j], order[i]
+                _shuffle(order, getrandbits)
             for k in order:
                 eid, w = incident[k]
                 if not seen[w]:

@@ -152,14 +152,16 @@ def mesh_instance(rng):
 
 def ls_against_the_reference(seed, iter_cap):
     """Capped ``solve_ls`` on ``mesh_instance(Random(seed))``, checked
-    against the reference solver; returns the kind of each evaluation:
-    "completed", or the skip it took ("all routed" and "same paths"
-    before extraction, "same kept" before completion).  A skip is
-    checked to be the one it claims: the same paths as the last
-    extraction read, or the same kept paths as the last completion."""
+    against the reference solver; returns one ``(kind, repeated)`` pair
+    per evaluation.  The kind is "completed", or the skip it took ("all
+    routed" before extraction, "same kept" before completion), and
+    ``repeated`` says whether its extraction read the same paths as the
+    previous extraction did.  A skip is checked to be the one it claims:
+    a best that routes every commodity, or the same kept paths as the
+    last completion."""
     inst = mesh_instance(random.Random(seed))
     cfg = SearchConfig(seed=seed, iter_cap=iter_cap)
-    kinds = []
+    evaluations = []
     last = {}
     extract = PathEdgeDisjoint.extract_disjoint
     complete = edp.greedy_complete
@@ -168,7 +170,8 @@ def ls_against_the_reference(seed, iter_cap):
     def extract_recorded(constraint):
         retained = extract(constraint)
         paths = [tree.induced_path() for tree in constraint.trees]
-        last.update(paths=paths, extracted={i: paths[i] for i in retained})
+        last.update(repeated=paths == last.get("paths"), paths=paths,
+                    extracted={i: paths[i] for i in retained})
         return retained
 
     def complete_recorded(g, kept, pending):
@@ -180,20 +183,17 @@ def ls_against_the_reference(seed, iter_cap):
     def run_recorded(constraint, cfg, evaluate, started):
         def classified(clock):
             all_routed = last.get("best") == inst.k
-            last.update(paths_before=last.get("paths"), extracted=None,
-                        completed=False)
+            last.update(extracted=None, repeated=False, completed=False)
             evaluate(clock)
             if last["completed"]:
-                kinds.append("completed")
+                kind = "completed"
             elif last["extracted"] is not None:
                 assert last["extracted"] == last["kept"]
-                kinds.append("same kept")
-            elif all_routed:
-                kinds.append("all routed")
+                kind = "same kept"
             else:
-                paths = [tree.induced_path() for tree in constraint.trees]
-                assert paths == last["paths_before"]
-                kinds.append("same paths")
+                assert all_routed
+                kind = "all routed"
+            evaluations.append((kind, last["repeated"]))
 
         return run(constraint, cfg, classified, started)
 
@@ -206,7 +206,7 @@ def ls_against_the_reference(seed, iter_cap):
     assert solution_to_dump(solution, inst) == solution_to_dump(expected, inst)
     assert trace.improvements == improvements
     assert trace.events == events
-    return kinds
+    return evaluations
 
 
 @settings(max_examples=60, deadline=None)
@@ -216,11 +216,14 @@ def test_evaluation_skips_match_the_reference_solver(seed, iter_cap):
 
 
 def test_every_evaluation_skip_is_taken():
-    # the property's branches, reached on fixed examples
-    kinds = set()
+    # the property's branches, reached on fixed examples; paths repeated
+    # from the previous extraction must take the kept-paths skip
+    evaluations = set()
     for seed in range(12):
-        kinds.update(ls_against_the_reference(seed, 4 + seed % 17))
-    assert kinds == {"completed", "all routed", "same paths", "same kept"}
+        evaluations.update(ls_against_the_reference(seed, 4 + seed % 17))
+    assert {kind for kind, _ in evaluations} == {
+        "completed", "all routed", "same kept"}
+    assert ("same kept", True) in evaluations
 
 
 @settings(max_examples=100, deadline=None)
@@ -393,6 +396,18 @@ def test_greedy_complete_matches_the_set_based_reference(seed):
     routed = greedy_complete(g, kept, pending)
     expected = oracles.greedy_complete_reference(g, kept, pending)
     assert list(routed.items()) == list(expected.items())
+
+
+def test_evaluate_assignment_needs_one_path_per_commodity():
+    g = generate_mesh(3, 3)
+    commodities = generate_commodities(g, 4, 0)
+    paths = [oracles.random_tree_variable(random.Random(i), g, c.source,
+                                          c.target).induced_path()
+             for i, c in enumerate(commodities)]
+    for given_paths, given_commodities in ((paths[:2], commodities),
+                                           (paths, commodities[:2])):
+        with pytest.raises(ValueError, match="paths for"):
+            edp.evaluate_assignment(g, given_commodities, given_paths)
 
 
 @settings(max_examples=100, deadline=None)

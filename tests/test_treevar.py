@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -15,7 +16,8 @@ from treeroute import (
     path_nodes,
 )
 from treeroute.generators import generate_mesh, generate_random_connected
-from treeroute.treevar import _MAX_TRIE_DEGREE, _SHUFFLE_STEPS, _SHUFFLE_TRIES
+from treeroute.treevar import (_MAX_TRIE_DEGREE, _SHUFFLE_STEPS, _SHUFFLE_TRIES,
+                               _shuffle)
 
 import oracles
 
@@ -131,6 +133,19 @@ def test_random_trees_draw_as_random_shuffle(case):
     check(tree)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 40 + 7])
+def test_shuffle_draws_as_random_shuffle(seed):
+    # lengths 0-70 take steps of 1 to 7 bits; the order and the rng state
+    # afterwards must be random.shuffle's
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    for n in range(71):
+        order, expected = list(range(n)), list(range(n))
+        _shuffle(order, rng.getrandbits)
+        ref_rng.shuffle(expected)
+        assert order == expected
+        assert rng.getstate() == ref_rng.getstate()
+
+
 class _ScriptedRandom(random.Random):
     """Answers getrandbits from a script and logs each call's bits."""
 
@@ -177,7 +192,7 @@ class _RecordingIncidence(list):
         return super().__getitem__(k)
 
 
-@pytest.mark.parametrize("d", range(8))
+@pytest.mark.parametrize("d", range(10))
 def test_random_fathers_redraw_and_order_as_random_shuffle(d):
     # The root of a star is its only node that draws (the leaves have
     # degree 1).  Each Fisher-Yates step i is answered first with i + 1,
@@ -185,13 +200,16 @@ def test_random_fathers_redraw_and_order_as_random_shuffle(d):
     # always express, and then with an accepted draw.  The bits asked and
     # the order in which the root's incidences are read must be those of
     # random.shuffle under the same script: degrees 3 and 4 take the
-    # unrolled walk, 0-2 and 5 the trie loop, 6 and 7 the in-place swaps.
+    # unrolled walk, 0-2 and 5 the trie loop, 6 and up go through
+    # _shuffle (8 and 9 with a 4-bit step).
     star = load_graph(f"{d + 1} {d}\n"
                       + "".join(f"0 {w}\n" for w in range(1, d + 1)))
     steps = range(d - 1, 0, -1)
-    scripts = list(itertools.product(*(range(i + 1) for i in steps)))
-    if len(scripts) > 40:
-        scripts = random.Random(d).sample(scripts, 40)
+    if math.factorial(d) <= 40:
+        scripts = list(itertools.product(*(range(i + 1) for i in steps)))
+    else:
+        pick = random.Random(d)
+        scripts = [tuple(pick.randint(0, i) for i in steps) for _ in range(40)]
     for accepted in scripts:
         draws = [x for i, j in zip(steps, accepted) for x in (i + 1, j)]
         incidence = _RecordingIncidence(star.neighbors[0])
