@@ -192,8 +192,9 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def commodity_count(ratio: str, node_count: int) -> int:
-    """Cell size for a ratio: floor(ratio * n), computed exactly."""
-    return int(Fraction(ratio) * node_count)
+    """Cell size for a ratio: floor(ratio * n), computed exactly from
+    :func:`_ratio`'s value, so its exponent bound holds here too."""
+    return int(_ratio(ratio) * node_count)
 
 
 def _run_one(task: tuple) -> tuple[int, float]:

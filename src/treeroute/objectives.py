@@ -41,12 +41,15 @@ load per edge.  Extraction, :func:`extract_disjoint`, is defined here
 (``edp`` imports it), and the constraint's ``_update`` keeps the state
 it starts its drops from: the XOR of each edge's holders and each
 path's count of shared edges.  The two share one add step,
-:func:`_add_path`, which counts a path in, and one drop step,
-:func:`_drop_shared`, which runs extraction's drops on that state, from
-a heap that holds one entry per path and re-pushes an entry only when
-it pops it stale.  Both steps are private to this module.  So
-:meth:`PathEdgeDisjoint.extract_disjoint` extracts from the current
-trees without a first pass.
+:func:`_add_path`, which counts a path in, and one remove step,
+:func:`_remove_path`, its inverse, which counts a path out.  The
+constraint's ``_update`` removes a tree's old path and adds its new
+one; a removal lowers the violation by exactly the path's overlap, its
+count of shared edges.  Extraction's drops, :func:`_drop_shared`,
+remove each path they drop, picked from a heap that holds one entry per
+path and re-pushes an entry only when it pops it stale.  The steps are
+private to this module.  So :meth:`PathEdgeDisjoint.extract_disjoint`
+extracts from the current trees without a first pass.
 
 Differentiables compose: ``a + b`` and ``a - b`` (or :func:`combine`)
 build arithmetic expressions, and :func:`compare` turns a pair of
@@ -253,6 +256,22 @@ def _add_path(loads: list[int], holders: list[int], overlap: list[int],
     return shared
 
 
+def _remove_path(loads: list[int], holders: list[int], overlap: list[int],
+                 i: int, edges: Iterable[int]) -> None:
+    """Count path ``i``, given as its edge set, out: the inverse of
+    :func:`_add_path`.  Each edge's load falls by one and ``i`` is XORed
+    out of its holders, so an edge left with load 1 names its last
+    holder in ``holders[e]``, and that holder loses one overlap.
+    ``overlap[i]`` is left as it was: the violation falls by exactly
+    that count, the path's edges that had load 2 or more."""
+    for e in edges:
+        load = loads[e] - 1
+        loads[e] = load
+        holders[e] ^= i
+        if load == 1:
+            overlap[holders[e]] -= 1
+
+
 def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
                  holders: list[int], overlap: list[int]) -> list[int]:
     """Extraction's drops: indices of the paths kept after repeatedly
@@ -268,9 +287,10 @@ def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
     a path's current one; a popped entry whose count is above the
     current one is stale, and is pushed again with the current count
     if that is nonzero.  So the first up-to-date entry popped is the
-    true maximum.  A drop XORs its index out of each of its edges, so
-    an edge left with load 1 holds its last holder's index in
-    ``holders[e]``, and that holder loses one overlap.  The heap never
+    true maximum.  A drop counts the path out with
+    :func:`_remove_path`, the step the constraint's ``_update`` uses,
+    so an edge left with load 1 names its last holder, and that holder
+    loses one overlap.  The heap never
     holds more than ``k`` entries; the cost is O(k + drops' edges +
     (drops + re-pushes) log k), with at most one re-push per lost
     overlap and no search for a holder."""
@@ -286,12 +306,7 @@ def _drop_shared(edge_sets: Sequence[Iterable[int]], loads: list[int],
                 heapq.heappush(heap, -(now * k + d))
             continue
         retained[d] = False
-        for e in edge_sets[d]:
-            load = loads[e] - 1
-            loads[e] = load
-            holders[e] ^= d
-            if load == 1:
-                overlap[holders[e]] -= 1
+        _remove_path(loads, holders, overlap, d, edge_sets[d])
     return [i for i, kept in enumerate(retained) if kept]
 
 
@@ -350,11 +365,13 @@ class PathEdgeDisjoint(Differentiable):
     * ``overlap[i]``, how many of tree ``i``'s edges have load 2 or
       more.
 
-    ``_update(i, path)`` takes tree ``i``'s old edges out, and an edge
-    whose load falls from 2 to 1 costs its remaining holder
-    (``holders[e]`` once ``i`` is XORed out) one overlap; it then counts
-    the new edges in with :func:`_add_path`, which recounts
-    ``overlap[i]``.  Read these lists, do not write them.
+    ``_update(i, path)`` counts tree ``i``'s old edges out with
+    :func:`_remove_path` and its new edges in with :func:`_add_path`,
+    the two steps extraction uses too.  The violation falls by
+    ``overlap[i]`` on the removal, since each of the old edges with load
+    2 or more loses one excess use, and rises by what ``_add_path``
+    returns, which recounts ``overlap[i]``.  Read these lists, do not
+    write them.
     """
 
     kind = "constraint"
@@ -377,15 +394,8 @@ class PathEdgeDisjoint(Differentiable):
 
     def _update(self, i: int, path: tuple[int, ...]) -> None:
         loads, holders, overlap = self.loads, self.holders, self.overlap
-        violation = self._violation
-        for e in self.edge_sets[i]:
-            load = loads[e] - 1
-            loads[e] = load
-            holders[e] ^= i
-            if load:
-                violation -= 1
-                if load == 1:
-                    overlap[holders[e]] -= 1
+        violation = self._violation - overlap[i]
+        _remove_path(loads, holders, overlap, i, self.edge_sets[i])
         edges = frozenset(path)
         self.edge_sets[i] = edges
         self._violation = violation + _add_path(loads, holders, overlap, i, edges)

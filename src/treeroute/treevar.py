@@ -294,14 +294,10 @@ class RootedSpanningTree:
         return frozenset(e for e in self._father_edge if e >= 0)
 
     def induced_path(self) -> tuple[int, ...]:
-        """Edge sequence of the source-to-root path (never empty)."""
+        """Edge sequence of the source-to-root path (never empty): the
+        source's father chain, read by :meth:`_chain`."""
         if self._path is None:
-            path = []
-            node = self.source
-            while node != self.root:
-                path.append(self._father_edge[node])
-                node = self._father_node[node]
-            self._path = tuple(path)
+            self._path = tuple(self._chain(self.source, self.root))
         return self._path
 
     def replacing_edges(self) -> list[int]:
@@ -453,7 +449,9 @@ class RootedSpanningTree:
         Equals the current path when the removed edge is off it; otherwise
         it is the in-subtree walk from the source to the inserted edge's
         detached endpoint, the inserted edge, and the untouched father
-        chain from the other endpoint to the root."""
+        chain from the other endpoint to the root.  Both endpoints' chains
+        up to their join nodes are read by :meth:`_chain`, the detached
+        one reversed."""
         e_in, e_out = move.e_in, move.e_out
         inside, outside = self._replacing_ends(e_in)
         nodes, join, _ = self._path_index()
@@ -468,18 +466,10 @@ class RootedSpanningTree:
             # move must still be valid (slow check; cold in practice).
             self._orient(e_in, e_out)
             return path
-        chain_in = []
-        node, stop = inside, nodes[a]
-        while node != stop:
-            chain_in.append(self._father_edge[node])
-            node = self._father_node[node]
-        chain_out = []
-        node, stop = outside, nodes[b]
-        while node != stop:
-            chain_out.append(self._father_edge[node])
-            node = self._father_node[node]
-        return (path[:a] + tuple(reversed(chain_in)) + (e_in,)
-                + tuple(chain_out) + path[b:])
+        chain_in = self._chain(inside, nodes[a])
+        chain_in.reverse()
+        return (path[:a] + tuple(chain_in) + (e_in,)
+                + tuple(self._chain(outside, nodes[b])) + path[b:])
 
     # -- internals -----------------------------------------------------------
 
@@ -487,6 +477,16 @@ class RootedSpanningTree:
         self.version += 1
         self._path = None
         self._index = None
+
+    def _chain(self, node: int, stop: int) -> list[int]:
+        """Father edges from ``node`` up to ``stop``, an ancestor of it
+        (``stop`` itself excluded, so ``[]`` when ``node == stop``)."""
+        father, father_edge = self._father_node, self._father_edge
+        chain = []
+        while node != stop:
+            chain.append(father_edge[node])
+            node = father[node]
+        return chain
 
     def _replacing_ends(self, e_in: int) -> tuple[int, int]:
         """Endpoints of ``e_in``; raises unless it is a non-tree edge (the

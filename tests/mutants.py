@@ -3,15 +3,36 @@
 A mutant replaces one exact text of a ``src/`` file with another, and
 the tests it names fail on the mutated code: each was seen to fail
 when the mutant was applied to a copy of the tree.  Test ids are
-pytest node ids from the repository root.  ``test_mutants.py`` checks
-that every old text occurs exactly once in its file, so a change that
-moves mutated code updates the entry with it.  A runner that applies
-each mutant and runs its tests is still to come (ROADMAP item 4).
+pytest node ids from the repository root; an id without a parameter
+stands for all of its parameters.  ``test_mutants.py`` checks that
+every old text occurs exactly once in its file, so a change that moves
+mutated code updates the entry with it.
+
+Run every mutant from the repository root with::
+
+    python -m tests.mutants
+
+The runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
+temporary directory, turns hypothesis shrinking and its example
+database off in the copy, and applies one mutant at a time.  For each
+it runs only the mutant's tests, in one pytest process with a timeout
+of ``TIMEOUT_S`` (a mutant may make a scan loop for ever; a process
+that times out counts as killed).  A mutant survives when none of its
+tests fails, and an entry is stale when one of its tests passes.  The
+exit status is 1 if any mutant survives or any entry is stale.
 """
 
 from __future__ import annotations
 
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -35,6 +56,10 @@ TREES = "tests/test_treevar.py::test_random_trees_draw_as_random_shuffle"
 # solve_ls's evaluation skips against the reference solver
 E = "tests/test_edp.py::test_evaluation_skips_match_the_reference_solver"
 T = "tests/test_edp.py::test_every_evaluation_skip_is_taken"
+# the constraint's kept state against a recount from its paths
+STATE = "tests/test_objectives.py::test_disjointness_state_matches_a_recount"
+# verify_dump on a dump of the two-commodity instance
+V = "tests/test_edp.py::test_verify_dump_checks_the_paths[{}]"
 
 MUTANTS = (
     Mutant(
@@ -124,4 +149,122 @@ MUTANTS = (
         "            heapq.heappush(heap, -(now * k + d))\n",
         ("tests/test_edp.py::test_extract_disjoint_matches_the_reference",
          "tests/test_edp.py::test_capped_ls_matches_the_reference_solver", E, T)),
+    Mutant(
+        "verify_dump passes a shared edge", EDP,
+        "if eid in used_edges:",
+        "if False:",
+        (V.format("shared-edge"),)),
+    Mutant(
+        "verify_dump passes a revisited node", EDP,
+        "if len(set(nodes)) != len(nodes):",
+        "if False:",
+        (V.format("revisited-node"),)),
+    Mutant(
+        "verify_dump passes a hop between non-adjacent nodes", EDP,
+        "if eid is None:",
+        "if False:",
+        (V.format("missing-edge"),)),
+    Mutant(
+        "_remove_path without its XOR", OBJECTIVES,
+        "        loads[e] = load\n"
+        "        holders[e] ^= i\n"
+        "        if load == 1:\n",
+        "        loads[e] = load\n"
+        "        if load == 1:\n",
+        (STATE, "tests/test_edp.py::test_extract_disjoint_matches_the_reference",
+         "tests/test_edp.py::test_capped_ls_matches_the_reference_solver")),
+    Mutant(
+        "_update without the removed path's overlap", OBJECTIVES,
+        "violation = self._violation - overlap[i]",
+        "violation = self._violation",
+        (STATE, "tests/test_objectives.py::TestPathEdgeDisjoint::"
+                "test_commit_consistency_randomized",
+         "tests/test_edp.py::test_capped_ls_matches_the_reference_solver")),
+    Mutant(
+        "simulate_path keeps the detached chain unreversed", TREEVAR,
+        "        chain_in.reverse()\n",
+        "",
+        ("tests/test_treevar.py::TestSimulatePath::test_matches_apply_on_random_meshes",)),
 )
+
+
+# per pytest process: each mutant's tests took under 3 s to fail on a
+# 2-vCPU Xeon, so only a mutant that loops for ever reaches it
+TIMEOUT_S = 60
+
+# appended to the copy's conftest.py: a failing example is reported as
+# found, unshrunk, and no example carries over from one mutant to the next
+_NO_SHRINK = """
+from hypothesis import Phase, settings
+
+settings.register_profile(
+    "mutants", database=None,
+    phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+settings.load_profile("mutants")
+"""
+
+_OUTCOME_RE = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.M)
+
+
+def _failed_killers(copy: Path, killers: tuple[str, ...]) -> set[str] | None:
+    """The killers that fail in ``copy``, or None if pytest timed out."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # a same-size mutant shares a pyc's key
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+             *killers],
+            cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+    outcomes = _OUTCOME_RE.findall(proc.stdout)
+    if proc.returncode not in (0, 1) or not outcomes:
+        sys.exit(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    failed = {test_id for status, test_id in outcomes if status != "PASSED"}
+    return {k for k in killers
+            if any(f == k or f.startswith(k + "[") for f in failed)}
+
+
+def main() -> int:
+    root = Path(__file__).parents[1]
+    bad = 0
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(root / name, copy / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy(root / "pyproject.toml", copy)
+        with open(copy / "tests" / "conftest.py", "a", encoding="utf-8") as fh:
+            fh.write(_NO_SHRINK)
+        for m in MUTANTS:
+            target = copy / m.path
+            original = target.read_text(encoding="utf-8")
+            if original.count(m.old) != 1:
+                sys.exit(f"{m.name}: old text does not occur once in {m.path}")
+            target.write_text(original.replace(m.old, m.new), encoding="utf-8")
+            began = time.perf_counter()
+            failed = _failed_killers(copy, m.killers)
+            took = time.perf_counter() - began
+            target.write_text(original, encoding="utf-8")
+            if failed is None:
+                print(f"killed    {m.name}: timed out after {took:.0f} s")
+                continue
+            passed = [k for k in m.killers if k not in failed]
+            if not failed:
+                bad += 1
+                print(f"SURVIVED  {m.name} ({took:.1f} s)")
+            elif passed:
+                bad += 1
+                print(f"STALE     {m.name}: {len(failed)} of {len(m.killers)} "
+                      f"tests fail, these pass: {', '.join(passed)}")
+            else:
+                print(f"killed    {m.name}: {len(failed)} of {len(m.killers)} "
+                      f"tests fail ({took:.1f} s)")
+    print(f"{len(MUTANTS)} mutants, {bad} survived or stale, "
+          f"{time.perf_counter() - start:.0f} s")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

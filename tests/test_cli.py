@@ -1,6 +1,7 @@
 import pytest
 
-from treeroute import cli, parse_spec, run_benchmark
+from treeroute import cli, graph_to_text, parse_spec, run_benchmark
+from treeroute.generators import generate_random_connected
 
 
 def _main(*argv):
@@ -26,6 +27,13 @@ def test_generate_solve_verify_round_trip(instance, tmp_path, capsys):
     assert _main("verify", "--graph", graph, "--commodities", comm,
                  "--dump", dump) == cli.EXIT_OK
     assert capsys.readouterr().out.strip().endswith("verify: ok")
+
+
+def test_generate_random_writes_the_generated_graph(tmp_path):
+    out = tmp_path / "r.txt"
+    assert _main("generate", "random", "--nodes", 8, "--edges", 11, "--seed", 4,
+                 "--out", out) == cli.EXIT_OK
+    assert out.read_text() == graph_to_text(generate_random_connected(8, 11, 4))
 
 
 def test_tampered_dump_fails_verification(instance, tmp_path, capsys):

@@ -29,6 +29,7 @@ from treeroute import (
 import oracles
 import treeroute.edp as edp
 import treeroute.search as search
+from treeroute.bench import commodity_count, resolve_graph
 from treeroute.generators import generate_mesh
 from treeroute.objectives import PathEdgeDisjoint
 
@@ -90,6 +91,32 @@ def test_verify_dump_reports(dump, problems):
     g = load_graph("3 3\n0 1\n1 2\n0 2\n")
     inst = EdpInstance(g, (Commodity(0, 2),))
     assert verify_dump(dump, inst) == problems
+
+
+# a triangle 0-1-2 with a tail 2-3: commodity 0 runs 0->2, commodity 1 1->3
+@pytest.mark.parametrize("dump,problems", [
+    ("0 0 2 1 : 0 2\n1 1 3 2 : 1 2 3\n" + SUMMARY.format(2), []),
+    ("0 0 2 2 : 0 1 2\n1 1 3 2 : 1 2 3\n" + SUMMARY.format(2),
+     ["line 2: edge (1,2) already used by another path"]),
+    ("0 0 2 4 : 0 1 2 0 2\n" + SUMMARY.format(1), ["line 1: path revisits a node"]),
+    ("1 1 3 1 : 1 3\n" + SUMMARY.format(1), ["line 1: no edge (1,3) in the graph"]),
+    ("-1 0 2 1 : 0 2\n" + SUMMARY.format(1), ["line 1: no commodity -1"]),
+], ids=["disjoint", "shared-edge", "revisited-node", "missing-edge",
+        "commodity-minus-one"])
+def test_verify_dump_checks_the_paths(dump, problems):
+    g = load_graph("4 4\n0 1\n1 2\n0 2\n2 3\n")
+    inst = EdpInstance(g, (Commodity(0, 2), Commodity(1, 3)))
+    assert verify_dump(dump, inst) == problems
+
+
+@pytest.mark.parametrize("commodities,message", [
+    ((), "at least one commodity"),
+    ((Commodity(0, 1), Commodity(1, 3)), "commodity 1: node id 3 out of range"),
+])
+def test_instance_rejects_no_commodities_and_foreign_nodes(
+        commodities, message, triangle):
+    with pytest.raises(ValueError, match=message):
+        EdpInstance(triangle, commodities)
 
 
 def test_msga_without_passes_routes_nothing():
@@ -437,6 +464,27 @@ def test_benchmark_rejects_duplicate_cells(graphs, ratios, solvers):
         run_benchmark(BenchmarkSpec(graphs=graphs, commodity_ratios=ratios,
                                     instances_per_cell=2, iter_cap=3,
                                     solvers=solvers))
+
+
+def test_benchmark_rejects_a_ratio_that_yields_no_commodities():
+    spec = BenchmarkSpec(graphs=["mesh:3x3"], commodity_ratios=["0.1"],
+                         instances_per_cell=1, iter_cap=1)
+    with pytest.raises(ValueError, match="ratio 0.1 yields no commodities on mesh3x3"):
+        run_benchmark(spec)
+
+
+def test_commodity_count_bounds_the_exponent():
+    with pytest.raises(ValueError, match="exponent beyond"):
+        commodity_count("1e-401", 10)
+
+
+def test_resolve_graph_names_a_file_by_its_basename(tmp_path):
+    text = "4 4\n0 1\n1 2\n2 3\n3 0\n"
+    path = tmp_path / "square.txt"
+    path.write_text(text)
+    name, g = resolve_graph(str(path))
+    assert name == "square"
+    assert g.edges == load_graph(text).edges
 
 
 def test_benchmark_rows_do_not_depend_on_jobs():

@@ -105,6 +105,13 @@ class TestPathEdgeDisjoint:
         with pytest.raises(ValueError):
             PathEdgeDisjoint([tree, tree])
 
+    def test_trees_of_two_graphs_rejected(self, triangle):
+        other = load_graph("3 3\n0 1\n1 2\n0 2\n")
+        trees = [RootedSpanningTree.from_edges(g, 0, 2, [0, 1])
+                 for g in (triangle, other)]
+        with pytest.raises(ValueError, match="share one graph"):
+            PathEdgeDisjoint(trees)
+
     def test_commit_consistency_randomized(self):
         rng = random.Random(77)
         g = generate_mesh(4, 4)
