@@ -505,14 +505,6 @@ def _as_operand(x) -> Differentiable:
     return _Const(x)
 
 
-def _merged_trees(a: Differentiable, b: Differentiable) -> list[RootedSpanningTree]:
-    trees = list(a.trees)
-    for t in b.trees:
-        if not any(t is u for u in trees):
-            trees.append(t)
-    return trees
-
-
 class _Expression(Differentiable):
     """``f(a, b)`` over two differentiables (or constants).
 
@@ -525,7 +517,7 @@ class _Expression(Differentiable):
         self.b = _as_operand(b)
         self.f = f
         self.kind = kind
-        super().__init__(_merged_trees(self.a, self.b))
+        super().__init__(dict.fromkeys(self.a.trees + self.b.trees))
 
     def _refresh(self) -> None:
         self.a._refresh()

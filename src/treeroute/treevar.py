@@ -32,13 +32,18 @@ irrelevant.  The search engine accepts only basic moves; complex moves
 serve the library neighbourhood ``search.explore_two_move``.  Basic
 moves and bundles return one kind of undo token.  Every move query
 checks its inserted edge with
-:meth:`~RootedSpanningTree._replacing_ends`.  The removed edge is
-checked by :meth:`~RootedSpanningTree._orient` in ``apply``, and in
+:meth:`~RootedSpanningTree._replacing_ends`: ``simulate_path`` calls it
+for the ends it joins to the path, and every other query reads the
+fundamental cycle through :meth:`~RootedSpanningTree._cycle_segments`,
+which calls it first.  The removed edge is checked by
+:meth:`~RootedSpanningTree._orient` in ``apply``, and in
 ``simulate_path`` unless it lies in the stretch of the induced path
 between the join positions of the inserted edge's ends, which holds
 exactly the cycle's on-path edges; ``independent`` checks it against
-the fundamental cycle.  Random trees draw from a ``random.Random`` the
-caller owns.
+the fundamental cycle.  A well-formed tree has the father lists that
+:meth:`~RootedSpanningTree.from_edges` builds from its own edges, and
+:meth:`~RootedSpanningTree.validate` checks exactly that.  Random trees
+draw from a ``random.Random`` the caller owns.
 """
 
 from __future__ import annotations
@@ -145,7 +150,8 @@ class RootedSpanningTree:
         Only ``source`` and ``root`` are checked; the arrays are trusted,
         and arrays that do not form a spanning tree make later queries
         wrong or endless.  :meth:`random_tree` and :meth:`from_edges` are the
-        checked entry points, and :meth:`validate` checks any tree."""
+        checked entry points, and :meth:`validate` checks that a tree's
+        arrays are the ones :meth:`from_edges` would build."""
         self._check_ends(graph, source, root)
         self.graph = graph
         self.source = source
@@ -184,8 +190,20 @@ class RootedSpanningTree:
     @classmethod
     def from_edges(cls, graph: Graph, source: int, root: int,
                    tree_edges: Iterable[int]) -> "RootedSpanningTree":
-        """Build the variable from an explicit spanning-tree edge set."""
+        """Build the variable from an explicit spanning-tree edge set;
+        raises ValueError unless the edges span the graph."""
         cls._check_ends(graph, source, root)
+        return cls(graph, source, root,
+                   *cls._edge_fathers(graph, root, tree_edges))
+
+    @staticmethod
+    def _edge_fathers(graph: Graph, root: int, tree_edges: Iterable[int]
+                      ) -> tuple[list[int], list[int]]:
+        """Father lists of the spanning tree ``tree_edges`` rooted at
+        ``root``: the only ones a well-formed tree of that edge set can
+        have.  Raises ValueError unless the ``node_count - 1`` distinct
+        edges reach every node, which also rules out a cycle and an id
+        outside the graph."""
         edge_set = set(tree_edges)
         if len(edge_set) != graph.node_count - 1:
             raise ValueError(
@@ -208,7 +226,7 @@ class RootedSpanningTree:
                     stack.append(w)
         if not all(seen):
             raise ValueError("tree_edges do not form a spanning tree")
-        return cls(graph, source, root, father_node, father_edge)
+        return father_node, father_edge
 
     @staticmethod
     def _random_fathers(graph: Graph, root: int,
@@ -308,7 +326,6 @@ class RootedSpanningTree:
     def fundamental_cycle(self, e_in: int) -> list[int]:
         """Tree edges on the cycle closed by inserting ``e_in``, ordered
         from e_in's first endpoint to its second."""
-        self._replacing_ends(e_in)
         seg_u, seg_v = self._cycle_segments(e_in)
         return seg_u + seg_v[::-1]
 
@@ -409,7 +426,9 @@ class RootedSpanningTree:
         if token.tree is not self or token.version_after != self.version:
             raise InvalidMoveError("undo token is stale or belongs to another"
                                    " tree; undo must mirror apply order")
-        self._restore(token.reoriented)
+        for node, old_father, old_edge in reversed(token.reoriented):
+            self._father_node[node] = old_father
+            self._father_edge[node] = old_edge
         self._bump()
 
     def _swap(self, move: BasicMove,
@@ -418,7 +437,6 @@ class RootedSpanningTree:
         in ``reoriented``; an invalid move changes nothing.  The caller
         bumps the revision."""
         e_in, e_out = move.e_in, move.e_out
-        self._replacing_ends(e_in)
         inside, outside = self._orient(e_in, e_out)
         # Reverse father pointers from `inside` up to the lower endpoint of
         # e_out; everything else in the detached subtree keeps its father.
@@ -434,12 +452,6 @@ class RootedSpanningTree:
                 break
             new_father, new_edge = cur, old_edge
             cur = old_father
-
-    def _restore(self, reoriented: list[tuple[int, int, int]]) -> None:
-        """Put back the father pointers ``_swap`` recorded, latest first."""
-        for node, old_father, old_edge in reversed(reoriented):
-            self._father_node[node] = old_father
-            self._father_edge[node] = old_edge
 
     # -- simulation ----------------------------------------------------------
 
@@ -500,9 +512,10 @@ class RootedSpanningTree:
 
     def _orient(self, e_in: int, e_out: int) -> tuple[int, int]:
         """``(inside, outside)`` ends of ``e_in``, ``inside`` the one whose
-        father chain holds ``e_out``; raises unless ``e_out`` is on the cycle."""
-        u, v = self.graph.edges[e_in]
+        father chain holds ``e_out``; raises unless ``e_out`` is on the cycle.
+        The segments check ``e_in`` before its ends are read."""
         seg_u, seg_v = self._cycle_segments(e_in)
+        u, v = self.graph.edges[e_in]
         if e_out in seg_u:
             return u, v
         if e_out in seg_v:
@@ -563,50 +576,31 @@ class RootedSpanningTree:
         return self._index
 
     def _cycle_segments(self, e_in: int) -> tuple[list[int], list[int]]:
-        """Father-chain segments (u-to-meet, v-to-meet) for e_in = (u, v)."""
-        u, v = self.graph.edges[e_in]
-        pos = {u: 0}
-        edges_u = []
+        """Father-chain segments (u-to-meet, v-to-meet) for e_in = (u, v),
+        read by :meth:`_chain` up to the node where the two chains meet;
+        raises unless ``e_in`` is a non-tree edge."""
+        u, v = self._replacing_ends(e_in)
+        father = self._father_node
+        above_u = {u}
         x = u
         while x != self.root:
-            edges_u.append(self._father_edge[x])
-            x = self._father_node[x]
-            pos[x] = len(edges_u)
-        edges_v = []
-        y = v
-        while y not in pos:
-            edges_v.append(self._father_edge[y])
-            y = self._father_node[y]
-        return edges_u[: pos[y]], edges_v
+            x = father[x]
+            above_u.add(x)
+        meet = v
+        while meet not in above_u:
+            meet = father[meet]
+        return self._chain(u, meet), self._chain(v, meet)
 
     # -- diagnostics ---------------------------------------------------------
 
     def validate(self) -> None:
-        """Check all spanning-tree invariants; raises AssertionError."""
-        g = self.graph
-        n = g.node_count
-        used = set()
-        for node in range(n):
-            fe = self._father_edge[node]
-            fn = self._father_node[node]
-            if node == self.root:
-                if fe != -1 or fn != -1:
-                    raise AssertionError("root must have no father")
-                continue
-            if not (0 <= fe < g.edge_count):
-                raise AssertionError(f"node {node} has no father edge")
-            if set(g.edges[fe]) != {node, fn}:
-                raise AssertionError(f"father edge of {node} has wrong endpoints")
-            if fe in used:
-                raise AssertionError(f"edge {fe} is father edge of two nodes")
-            used.add(fe)
-        reached = {self.root}
-        for node in range(n):
-            trail = []
-            x = node
-            while x not in reached:
-                trail.append(x)
-                x = self._father_node[x]
-                if len(trail) > n:
-                    raise AssertionError(f"father chain from {node} cycles")
-            reached.update(trail)
+        """Check that the father lists are the ones :meth:`from_edges`
+        builds from :attr:`tree_edges`, the definition of a well-formed
+        tree; raises AssertionError.  Builds no tree, so a check hooked
+        on ``__init__`` does not recurse."""
+        try:
+            fathers = self._edge_fathers(self.graph, self.root, self.tree_edges)
+        except ValueError as exc:
+            raise AssertionError(f"father edges do not span: {exc}") from exc
+        if fathers != (self._father_node, self._father_edge):
+            raise AssertionError("father lists differ from the tree's own edges")

@@ -47,6 +47,9 @@ class Mutant:
 TREEVAR = "src/treeroute/treevar.py"
 EDP = "src/treeroute/edp.py"
 OBJECTIVES = "src/treeroute/objectives.py"
+GRAPH = "src/treeroute/graph.py"
+BENCH = "src/treeroute/bench.py"
+SEARCH = "src/treeroute/search.py"
 
 # the index against a recount from the father lists
 R = "tests/test_treevar.py::test_preferred_moves_match_a_recount_from_the_fathers"
@@ -60,6 +63,14 @@ T = "tests/test_edp.py::test_every_evaluation_skip_is_taken"
 STATE = "tests/test_objectives.py::test_disjointness_state_matches_a_recount"
 # verify_dump on a dump of the two-commodity instance
 V = "tests/test_edp.py::test_verify_dump_checks_the_paths[{}]"
+# verify_dump's reports on malformed dump lines
+VR = "tests/test_edp.py::test_verify_dump_reports[{}]"
+# validate on a tree whose father lists were corrupted in place
+BAD = "tests/test_treevar.py::test_validate_rejects_corrupted_father_lists[{}]"
+# the capped solvers against their reference solvers
+LS = "tests/test_edp.py::test_capped_ls_matches_the_reference_solver"
+MSGA = "tests/test_edp.py::test_capped_msga_matches_the_reference_solver"
+EXTRACT = "tests/test_edp.py::test_extract_disjoint_matches_the_reference"
 
 MUTANTS = (
     Mutant(
@@ -147,8 +158,7 @@ MUTANTS = (
         "            if now:\n"
         "                heapq.heappush(heap, -(now * k + d))\n",
         "            heapq.heappush(heap, -(now * k + d))\n",
-        ("tests/test_edp.py::test_extract_disjoint_matches_the_reference",
-         "tests/test_edp.py::test_capped_ls_matches_the_reference_solver", E, T)),
+        (EXTRACT, LS, E, T)),
     Mutant(
         "verify_dump passes a shared edge", EDP,
         "if eid in used_edges:",
@@ -171,24 +181,143 @@ MUTANTS = (
         "        if load == 1:\n",
         "        loads[e] = load\n"
         "        if load == 1:\n",
-        (STATE, "tests/test_edp.py::test_extract_disjoint_matches_the_reference",
-         "tests/test_edp.py::test_capped_ls_matches_the_reference_solver")),
+        (STATE, EXTRACT, LS)),
     Mutant(
         "_update without the removed path's overlap", OBJECTIVES,
         "violation = self._violation - overlap[i]",
         "violation = self._violation",
         (STATE, "tests/test_objectives.py::TestPathEdgeDisjoint::"
-                "test_commit_consistency_randomized",
-         "tests/test_edp.py::test_capped_ls_matches_the_reference_solver")),
+                "test_commit_consistency_randomized", LS)),
     Mutant(
         "simulate_path keeps the detached chain unreversed", TREEVAR,
         "        chain_in.reverse()\n",
         "",
         ("tests/test_treevar.py::TestSimulatePath::test_matches_apply_on_random_meshes",)),
+    Mutant(
+        "validate without the father-list comparison", TREEVAR,
+        "        if fathers != (self._father_node, self._father_edge):\n"
+        "            raise AssertionError(\"father lists differ from the tree's own edges\")\n",
+        "",
+        (BAD.format("root-takes-a-childs-father"), BAD.format("wrong-father-node"))),
+    Mutant(
+        "validate swallows the ValueError", TREEVAR,
+        "            raise AssertionError(f\"father edges do not span: {exc}\") from exc\n",
+        "            return\n",
+        (BAD.format("no-father-edge"), BAD.format("father-edge-past-edge-count"),
+         BAD.format("one-edge-fathers-two-nodes"), BAD.format("father-cycle-of-four"))),
+    Mutant(
+        "from_edges without its spanning check", TREEVAR,
+        "        if not all(seen):\n"
+        "            raise ValueError(\"tree_edges do not form a spanning tree\")\n",
+        "",
+        ("tests/test_treevar.py::TestInit::"
+         "test_from_edges_rejects_n_minus_1_edges_that_do_not_span",)),
+    Mutant(
+        "a wrong trie leaf", TREEVAR,
+        "        return tuple(order)\n    children = []",
+        "        return tuple(order[::-1])\n    children = []",
+        ("tests/test_treevar.py::test_shuffle_trie_leaves_are_the_fisher_yates_orders",
+         W.format(4), TREES)),
+    Mutant(
+        "memo hit skips the free check of the path's last edge", GRAPH,
+        "        for eid in whole:\n",
+        "        for eid in whole[:-1]:\n",
+        (MSGA, "tests/test_graph.py::"
+               "test_a_whole_graph_path_blocked_by_a_kept_edge_falls_back_to_the_search",
+         "tests/test_golden.py::test_capped_msga_digest")),
+    Mutant(
+        "memo keyed on the unordered pair", GRAPH,
+        "        whole = free.memo[s, t]\n",
+        "        whole = free.memo[s, t] if s < t else free.memo[t, s][::-1]\n",
+        (MSGA, "tests/test_graph.py::test_a_memo_keeps_each_direction_apart",
+         "tests/test_graph.py::"
+         "test_views_sharing_a_memo_answer_every_search_as_the_reference")),
+    Mutant(
+        "label check returns None on equal labels", GRAPH,
+        "    if component[s] != component[t]:",
+        "    if component[s] == component[t]:",
+        (MSGA, "tests/test_graph.py::test_a_failed_search_labels_the_source_component",
+         "tests/test_graph.py::TestShortestPathAvoiding::test_detour")),
+    Mutant(
+        "_parse_int catches the wrong exception", GRAPH,
+        "    except ValueError:\n        raise GraphFormatError(",
+        "    except TypeError:\n        raise GraphFormatError(",
+        ("tests/test_graph.py::TestLoadGraph::test_malformed_edge_line_names_line",
+         "tests/test_text_fuzz.py::test_graph_text_loads_or_raises_a_graph_error")),
+    Mutant(
+        "verify_dump's summary catches the wrong exception", EDP,
+        "            except (ValueError, KeyError):",
+        "            except KeyError:",
+        (VR.format("non-integer-summary"), VR.format("summary-without-separator"))),
+    Mutant(
+        "verify_dump's path head catches the wrong exception", EDP,
+        "        except ValueError:\n"
+        "            problems.append(f\"line {lineno}: non-integer field\")",
+        "        except TypeError:\n"
+        "            problems.append(f\"line {lineno}: non-integer field\")",
+        (VR.format("non-integer-head"),)),
+    # only the "ratio 1/0" case fails; its id holds a space
+    Mutant(
+        "_ratio does not catch ZeroDivisionError", BENCH,
+        "    except ZeroDivisionError:",
+        "    except OverflowError:",
+        ("tests/test_cli.py::test_bad_input_exits_1_with_message",)),
+    Mutant(
+        "extraction breaks ties on the lower index", OBJECTIVES,
+        "    heap = [-(o * k + i) for i, o in enumerate(overlap) if o]\n"
+        "    heapq.heapify(heap)\n"
+        "    retained = [True] * k\n"
+        "    while heap:\n"
+        "        o, d = divmod(-heapq.heappop(heap), k)\n"
+        "        now = overlap[d]\n"
+        "        if o != now:\n"
+        "            if now:\n"
+        "                heapq.heappush(heap, -(now * k + d))\n",
+        "    heap = [-(o * k + k - 1 - i) for i, o in enumerate(overlap) if o]\n"
+        "    heapq.heapify(heap)\n"
+        "    retained = [True] * k\n"
+        "    while heap:\n"
+        "        o, d = divmod(-heapq.heappop(heap), k)\n"
+        "        d = k - 1 - d\n"
+        "        now = overlap[d]\n"
+        "        if o != now:\n"
+        "            if now:\n"
+        "                heapq.heappush(heap, -(now * k + k - 1 - d))\n",
+        ("tests/test_edp.py::test_extract_disjoint_cases", EXTRACT, LS, STATE)),
+    Mutant(
+        "extraction without a set per path", OBJECTIVES,
+        "    sets = [set(p) for p in paths]\n",
+        "    sets = [list(p) for p in paths]\n",
+        ("tests/test_edp.py::test_extract_disjoint_cases[repeated-edge-alone]",
+         EXTRACT)),
+    Mutant(
+        "_remove_path without the overlap decrement", OBJECTIVES,
+        "            overlap[holders[e]] -= 1\n",
+        "            pass\n",
+        (STATE, EXTRACT, LS)),
+    Mutant(
+        "_add_path adds to overlap[i] instead of setting it", OBJECTIVES,
+        "    overlap[i] = shared\n",
+        "    overlap[i] += shared\n",
+        (STATE, "tests/test_objectives.py::TestPathEdgeDisjoint::"
+                "test_commit_consistency_randomized", LS)),
+    Mutant(
+        "scan skips the first pair's removal draw", SEARCH,
+        "        r = getrandbits(bits)\n        while r >= n:",
+        "        r = getrandbits(bits) if (e_in, a, b) != pairs[0] else 0\n"
+        "        while r >= n:",
+        ("tests/test_search.py::test_filtered_scan_draws_and_decides_as_the_reference",
+         LS, "tests/test_golden.py::test_capped_ls_digest_at_sparse_benchmark_scale")),
+    Mutant(
+        "kicks start with a restart", SEARCH,
+        "            if kicks % 2 == 1:",
+        "            if kicks % 2 == 0:",
+        (LS, "tests/test_search.py::TestRun::test_every_capped_iteration_records_one_event",
+         "tests/test_golden.py::test_capped_path_cost_run_digest")),
 )
 
 
-# per pytest process: each mutant's tests took under 3 s to fail on a
+# per pytest process: each mutant's tests took under 4 s to fail on a
 # 2-vCPU Xeon, so only a mutant that loops for ever reaches it
 TIMEOUT_S = 60
 

@@ -82,6 +82,16 @@ class TestInit:
         with pytest.raises(ValueError):
             RootedSpanningTree.from_edges(triangle, 0, 2, [0])
 
+    @pytest.mark.parametrize("edges", [[0, 1, 2], [0, 1, 4], [0, 1, -1]],
+                             ids=["cycle-missing-a-node", "past-edge-count",
+                                  "negative-id"])
+    def test_from_edges_rejects_n_minus_1_edges_that_do_not_span(self, edges):
+        # a triangle 0-1-2 with a pendant node 3: edges 0-2 close the
+        # triangle and leave 3 out
+        g = load_graph("4 4\n0 1\n1 2\n0 2\n2 3\n")
+        with pytest.raises(ValueError, match="do not form a spanning tree"):
+            RootedSpanningTree.from_edges(g, 0, 3, edges)
+
     @pytest.mark.parametrize("node", [-1, 3])
     @pytest.mark.parametrize("end", ["source", "root"])
     @pytest.mark.parametrize("builder", ["random_tree", "from_edges"])
@@ -95,6 +105,50 @@ class TestInit:
             getattr(RootedSpanningTree, builder)(
                 triangle, ends["source"], ends["root"], arg)
         assert rng.getstate() == state
+
+
+def _root_takes_a_childs_father(g, tree, fn, fe):
+    child = fn.index(tree.root)
+    fn[tree.root], fe[tree.root] = child, fe[child]
+
+
+def _no_father_edge(g, tree, fn, fe):
+    fe[tree.source] = -1
+
+
+def _father_edge_past_edge_count(g, tree, fn, fe):
+    fe[tree.source] = g.edge_count
+
+
+def _wrong_father_node(g, tree, fn, fe):
+    fn[tree.source] = next(w for _, w in g.neighbors[tree.source]
+                           if w != fn[tree.source])
+
+
+def _one_edge_fathers_two_nodes(g, tree, fn, fe):
+    x = next(x for x in range(g.node_count)
+             if x != tree.root and fn[x] != tree.root)
+    fe[x] = fe[fn[x]]
+
+
+def _father_cycle_of_four(g, tree, fn, fe):
+    # the square 0-1-5-4 of the 4x4 mesh
+    square = (0, 1, 5, 4)
+    for x, y in zip(square, square[1:] + square[:1]):
+        fn[x], fe[x] = y, g.find_edge(x, y)
+
+
+@pytest.mark.parametrize("corrupt", [
+    _root_takes_a_childs_father, _no_father_edge, _father_edge_past_edge_count,
+    _wrong_father_node, _one_edge_fathers_two_nodes, _father_cycle_of_four],
+    ids=lambda corrupt: corrupt.__name__.strip("_").replace("_", "-"))
+def test_validate_rejects_corrupted_father_lists(corrupt):
+    g = generate_mesh(4, 4)
+    tree = RootedSpanningTree.random_tree(g, 6, 15, rng=random.Random(0))
+    tree.validate()
+    corrupt(g, tree, tree._father_node, tree._father_edge)
+    with pytest.raises(AssertionError):
+        tree.validate()
 
 
 @st.composite
