@@ -33,7 +33,7 @@ from .graph import (Commodity, FreeEdges, Graph, WholeGraphPaths,
                     _content_lines, path_nodes, shortest_path_avoiding)
 from .objectives import PathEdgeDisjoint, extract_disjoint
 from .search import SearchConfig, SearchTrace, run
-from .treevar import RootedSpanningTree
+from .treevar import RootedSpanningTree, _shuffle
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,11 @@ def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, Searc
     Each pass is a greedy completion from nothing in a fresh random
     commodity order: every commodity gets the shortest path on edges no
     earlier one claimed, or none if it cannot be routed.  The best pass
-    wins.  With ``iter_cap`` set, exactly that many passes run and the
-    trace clock counts passes; otherwise passes repeat until the time
-    limit (at least one always runs).
+    wins.  The order is drawn by ``treevar._shuffle``, with the draws
+    of ``random.shuffle``, as every shuffle in the engine is.  With
+    ``iter_cap`` set, exactly that many passes run and the trace clock
+    counts passes; otherwise passes repeat until the time limit (at
+    least one always runs).
 
     Every pass starts from the whole graph, so a commodity routed
     before the edges of its whole-graph shortest path are claimed takes
@@ -246,7 +248,7 @@ def solve_msga(inst: EdpInstance, cfg: SearchConfig) -> tuple[EdpSolution, Searc
     while not out_of_budget():
         passes += 1
         order = list(range(inst.k))
-        rng.shuffle(order)
+        _shuffle(order, rng.getrandbits)
         routed = greedy_complete(
             inst.graph, {}, [(i, inst.commodities[i]) for i in order],
             memo=memo)

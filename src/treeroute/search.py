@@ -14,11 +14,12 @@ local minimum; the engine then kicks at once, alternating between a
 small random perturbation of the conflicted trees and a
 re-initialization of them.  The scan accepts the first move for which
 the objective's exact predicate
-:meth:`~treeroute.objectives.Differentiable.improves_fn` holds.  Its
-shuffle goes through ``treevar._shuffle`` and its removal draws are
-written out inline; together they make exactly the ``getrandbits``
-calls that ``random.shuffle`` and ``random.choice`` make for
-``random.Random``.
+:meth:`~treeroute.objectives.Differentiable.improves_fn` holds.  Every
+shuffle on the hot path (each iteration's tree order and each scan's
+pairs) goes through ``treevar._shuffle``, and the scan's and the
+perturbation's choices are redraw loops written out inline; together
+they make exactly the ``getrandbits`` calls that ``random.shuffle`` and
+``random.choice`` make for ``random.Random``.
 
 The client sees the search through one hook, ``evaluate(clock)``: on
 the initial trees, at each new best and at each one-move local minimum
@@ -231,24 +232,40 @@ def _perturb(objective: Differentiable, rng: random.Random,
     handful of sampled candidates a non-worsening move is preferred, so
     the kick walks plateaus instead of undoing the descent; a random
     move is the fallback when every sample worsens.
+
+    A sample is a preferred triple and a removal offset in its stretch,
+    each drawn as ``explore_one_move`` draws a removal: the
+    ``getrandbits`` calls of ``random.choice`` of the triple and of
+    ``random.choice(path[a:b])``, written out inline.  Every sample is
+    still evaluated with the ``move_delta_fn`` taken once per move.
     """
     targets = objective.conflicted_trees()
     if not targets:
         targets = rng.sample(objective.trees, min(2, len(objective.trees)))
+    getrandbits = rng.getrandbits
     for tree in targets:
         if time_up():
             break
         for _ in range(PERTURBATION_MOVES):
             choices = tree.preferred_moves()
-            if not choices:
+            k = len(choices)
+            if not k:
                 break
+            k_bits = k.bit_length()
             path = tree.induced_path()
             delta = objective.move_delta_fn(tree)
             picked = None
             for _ in range(12):
-                e_in, a, b = rng.choice(choices)
-                # the draws of rng.choice(path[a:b]), without the slice
-                move = BasicMove(e_in, path[rng.choice(range(a, b))])
+                c = getrandbits(k_bits)
+                while c >= k:
+                    c = getrandbits(k_bits)
+                e_in, a, b = choices[c]
+                n = b - a
+                bits = n.bit_length()
+                r = getrandbits(bits)
+                while r >= n:
+                    r = getrandbits(bits)
+                move = BasicMove(e_in, path[a + r])
                 if delta(move) <= 0:
                     picked = move
                     break
@@ -332,11 +349,12 @@ def run(
     if evaluate is not None:
         evaluate(clock())
 
+    getrandbits = rng.getrandbits
     kicks = 0
     while not (iteration >= cfg.iter_cap if capped else time_up()):
         iteration += 1
         order = list(trees)
-        rng.shuffle(order)
+        _shuffle(order, getrandbits)
         for tree in order:
             if time_up():
                 break

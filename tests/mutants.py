@@ -74,12 +74,25 @@ EXTRACT = "tests/test_edp.py::test_extract_disjoint_matches_the_reference"
 
 MUTANTS = (
     Mutant(
-        "no tree-edge check in the index", TREEVAR,
-        "            if father_edge[u] == e_in or father_edge[v] == e_in:\n"
-        "                continue\n",
+        "apply keeps e_in in the non-tree list", TREEVAR,
+        "            del nontree[bisect_left(nontree, move.e_in)]\n",
         "",
-        (R, "tests/test_treevar.py::TestPreferredSets::"
-            "test_preferred_equals_reduction_oracle_random")),
+        (R,)),
+    Mutant(
+        "apply leaves e_out out of the non-tree list", TREEVAR,
+        "            insort(nontree, move.e_out)\n",
+        "",
+        (R,)),
+    Mutant(
+        "reinit_random keeps its non-tree list", TREEVAR,
+        "            self.graph, self.root, rng)\n        self._bump()\n",
+        "            self.graph, self.root, rng)\n        self._bump(self._nontree)\n",
+        (R,)),
+    Mutant(
+        "join taken from a father whose join is unknown", TREEVAR,
+        "            if hit >= 0:\n",
+        "            if hit >= -1:\n",
+        (R,)),
     # the scan then loops for ever on a negative b - a
     Mutant(
         "join positions left unsorted", TREEVAR,
@@ -256,12 +269,11 @@ MUTANTS = (
         "        except TypeError:\n"
         "            problems.append(f\"line {lineno}: non-integer field\")",
         (VR.format("non-integer-head"),)),
-    # only the "ratio 1/0" case fails; its id holds a space
     Mutant(
         "_ratio does not catch ZeroDivisionError", BENCH,
         "    except ZeroDivisionError:",
         "    except OverflowError:",
-        ("tests/test_cli.py::test_bad_input_exits_1_with_message",)),
+        ("tests/test_cli.py::test_bad_input_exits_1_with_message[ratio 1/0]",)),
     Mutant(
         "extraction breaks ties on the lower index", OBJECTIVES,
         "    heap = [-(o * k + i) for i, o in enumerate(overlap) if o]\n"
@@ -308,6 +320,12 @@ MUTANTS = (
         "        while r >= n:",
         ("tests/test_search.py::test_filtered_scan_draws_and_decides_as_the_reference",
          LS, "tests/test_golden.py::test_capped_ls_digest_at_sparse_benchmark_scale")),
+    # a draw equal to the count then indexes past the preferred moves
+    Mutant(
+        "perturbation accepts a triple draw equal to the count", SEARCH,
+        "                while c >= k:\n",
+        "                while c > k:\n",
+        (LS, "tests/test_golden.py::test_capped_ls_digest_at_sparse_benchmark_scale")),
     Mutant(
         "kicks start with a restart", SEARCH,
         "            if kicks % 2 == 1:",
@@ -332,7 +350,10 @@ settings.register_profile(
 settings.load_profile("mutants")
 """
 
-_OUTCOME_RE = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.M)
+# a -rA summary line: the outcome, then the test id up to the end of the
+# line or up to the " - " that starts a failure message, so an id
+# holding a space is read whole
+_OUTCOME_RE = re.compile(r"^(PASSED|FAILED|ERROR) (.+?)(?: - .*)?$", re.M)
 
 
 def _failed_killers(copy: Path, killers: tuple[str, ...]) -> set[str] | None:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from treeroute import (
     BasicMove,
     ComplexMove,
+    Graph,
     InvalidMoveError,
     RootedSpanningTree,
     load_graph,
@@ -405,10 +406,11 @@ class TestPreferredSets:
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1), mesh=st.booleans())
 def test_preferred_moves_match_a_recount_from_the_fathers(seed, mesh):
-    # After random apply, undo and reinit_random the index lists exactly
-    # the preferred moves recounted from the father lists, and each
-    # stretch path[a:b] is the fundamental cycle's on-path edges, in
-    # path order.
+    # On a random tree or one built by from_edges, after random apply,
+    # apply_complex, undo and reinit_random, the index lists exactly the
+    # preferred moves recounted from the father lists, and each stretch
+    # path[a:b] is the fundamental cycle's on-path edges, in path order.
+    # The conftest hook checks the kept non-tree list after each of them.
     rng = random.Random(seed)
     if mesh:
         g = generate_mesh(rng.randint(2, 5), rng.randint(2, 5))
@@ -416,6 +418,10 @@ def test_preferred_moves_match_a_recount_from_the_fathers(seed, mesh):
         g = oracles.random_connected_graph(rng, rng.randint(2, 12),
                                            rng.randint(0, 12))
     tree = oracles.random_tree_variable(rng, g)
+    if rng.random() < 0.5:  # another root's tree edges, rooted at this root
+        tree = RootedSpanningTree.from_edges(
+            g, tree.source, tree.root,
+            oracles.random_tree_variable(rng, g).tree_edges)
     token = None  # undo takes the last apply's token only
 
     def check():
@@ -427,20 +433,50 @@ def test_preferred_moves_match_a_recount_from_the_fathers(seed, mesh):
             cycle = oracles.cycle_of(g, tree.tree_edges, e_in)
             assert path[a:b] == tuple(e for e in path if e in cycle)
 
+    def bundle():
+        # up to three moves whose fundamental cycles are edge-disjoint
+        moves, covered = [], set()
+        replacing = tree.replacing_edges()
+        for e_in in rng.sample(replacing, len(replacing)):
+            cycle = tree.fundamental_cycle(e_in)
+            if len(moves) < 3 and covered.isdisjoint(cycle):
+                moves.append(BasicMove(e_in, rng.choice(cycle)))
+                covered.update(cycle)
+        return moves
+
     check()
     for _ in range(rng.randint(1, 8)):
         op = rng.random()
         if op < 0.15:
             tree.reinit_random(rng)
             token = None
-        elif op < 0.4 and token is not None:
+        elif op < 0.35 and token is not None:
             tree.undo(token)
             token = None
+        elif op < 0.55:
+            moves = bundle()
+            if moves:
+                token = tree.apply_complex(ComplexMove(tuple(moves)))
         else:
             move = oracles.random_valid_move(rng, tree)
             if move is not None:
                 token = tree.apply(BasicMove(*move))
         check()
+
+
+def test_kept_non_tree_list_holds_ids_past_two_bytes():
+    # a path 0 - 1 - ... - n-1 with two chords at its far end, whose ids
+    # 65539 and 65540 do not fit the two-byte list of a smaller graph
+    n = 65_540
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)]
+              + [(n - 1, n - 3), (n - 2, n - 4)])
+    tree = make_tree(g, n - 5, n - 1, range(n - 1))
+    assert tree.replacing_edges() == [65539, 65540]
+    assert tree.preferred_moves() == ((65539, 2, 4), (65540, 1, 3))
+    tree.apply(BasicMove(65539, 65538))
+    assert tree.replacing_edges() == [65538, 65540]
+    assert tree.induced_path() == (65535, 65536, 65539)
+    assert tree.preferred_moves() == ((65538, 2, 3), (65540, 1, 2))
 
 
 class TestApply:
